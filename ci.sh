@@ -2,7 +2,9 @@
 # One-command gate for this repository. Later PRs must keep this green.
 #
 #   ./ci.sh          # full: tier-1 + smoke benches + parsed JSON gates
-#                    #       + format + lints
+#                    #       + format + lints + a build and test of the
+#                    #       standalone servebench package against the
+#                    #       workspace
 #   ./ci.sh quick    # tier-1 + the DoQ-vs-analytical-model conformance
 #                    # test re-run in release (it gates the simulated
 #                    # QUIC transport against doc-models::quic)
@@ -17,7 +19,7 @@
 #                    # recorded in BENCH_proxy.json: >=2x on >=4 cores,
 #                    # a no-collapse bound below — the >=2x bound stays
 #                    # dormant on smaller runners but is always present
-#                    # in the v4 schema), the zero-alloc pool gate
+#                    # in the v5 schema), the zero-alloc pool gate
 #                    # (allocs_per_req < 1 on the 4-worker CoAP sim
 #                    # path, always enforced),
 #                    # the congested-bottleneck recovery gate (all
@@ -40,10 +42,10 @@
 #                    # 0-alloc hot paths, SAFETY-commented unsafe, with
 #                    # `// lint:allow(<rule>): <reason>` waivers) and
 #                    # check_gate (doc-check: exhaustive bounded
-#                    # thread-interleaving exploration of the real
-#                    # SpmcRing/WorkerDeque/Park/ShardedCache/
-#                    # proxy-stats primitives, failing with a minimal
-#                    # replayable schedule).
+#                    # thread-interleaving exploration of five models
+#                    # of the real primitives — ring-spmc, ring-close,
+#                    # shard-cache, response-cache, stats-snapshot —
+#                    # failing with a minimal replayable schedule).
 #
 # Tier-1 is exactly what the project driver runs:
 #   cargo build --release && cargo test -q
@@ -138,6 +140,12 @@ case "$mode" in
         cargo fmt --check
         echo "==> cargo clippy --workspace --all-targets -- -D warnings"
         cargo clippy --workspace --all-targets -- -D warnings
+        # servebench is a standalone package outside the workspace, so
+        # tier-1 never compiles it; build and test it here so a removed
+        # public API it uses fails CI instead of the benchmark run.
+        echo "==> servebench: build + test against the workspace"
+        cargo build --release --offline --manifest-path servebench/Cargo.toml
+        cargo test -q --offline --manifest-path servebench/Cargo.toml
         ;;
     bench)
         echo "==> bench: cargo build --release"

@@ -20,7 +20,7 @@
 //! gate; smoke runs (`BENCH_MEASURE_MS` < 100) print the observed
 //! ratios instead. The batch-1 rows drive `seal_suffix_in_place` (the
 //! single-packet DTLS/OSCORE path); larger batches drive
-//! `seal_suffix_batch` (what the proxy pool's drain amortizes).
+//! `seal_suffix_batch`.
 
 use std::time::{Duration, Instant};
 

@@ -12,10 +12,10 @@
 //! * `codecs PATH` — validate a `doc-bench/codecs/v2` artifact
 //!   (schema + row shapes + the 0 allocs/iter invariant on every
 //!   `*_view`/`*_into` row).
-//! * `proxy PATH` — validate a `doc-bench/proxy/v4` artifact
+//! * `proxy PATH` — validate a `doc-bench/proxy/v5` artifact
 //!   (schema + 1/2/4/8-worker CoAP rows + doq/doh/dot rows +
-//!   per-worker steal counts + percentile sanity + the zero-alloc
-//!   bound `allocs_per_req < 1` on the 4-worker CoAP sim-path row +
+//!   percentile sanity + the zero-alloc bound `allocs_per_req < 1`
+//!   on the 4-worker CoAP sim-path row +
 //!   the congested-bottleneck `recovery` rows: all three congestion
 //!   controllers present, both adaptive controllers' p99 below the
 //!   fixed-RTO oracle's).

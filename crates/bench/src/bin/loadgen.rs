@@ -12,7 +12,7 @@
 //! All flags are optional; the defaults match the `throughput` bench.
 //! `--transport coap|doq|doh|dot` selects the wire format the pool
 //! serves (default `coap`). With `--json PATH` the run also emits the
-//! rows in the `doc-bench/proxy/v4` format — note the full `bench_gate`
+//! rows in the `doc-bench/proxy/v5` format — note the full `bench_gate`
 //! check additionally requires the complete transport row set, which
 //! the `throughput` bench produces.
 
@@ -104,7 +104,7 @@ fn main() {
         rows.push(row);
     }
     if let Some(path) = json_path {
-        // The artifact must satisfy the v4 schema, so the ad-hoc
+        // The artifact must satisfy the v5 schema, so the ad-hoc
         // loadgen run carries the same deterministic recovery rows
         // the full bench emits.
         std::fs::write(&path, proxy_json(&rows, &recovery_rows())).expect("write JSON artifact");

@@ -11,11 +11,10 @@
 //! * **codecs** (`BENCH_codecs.json`, schema `doc-bench/codecs/v2`):
 //!   every `*_view`/`*_into` row must report exactly 0 allocs/iter —
 //!   the machine-independent zero-copy invariant of PRs 2/3.
-//! * **proxy** (`BENCH_proxy.json`, schema `doc-bench/proxy/v4`):
+//! * **proxy** (`BENCH_proxy.json`, schema `doc-bench/proxy/v5`):
 //!   per-transport rows — a 1/2/4/8-worker CoAP sweep plus at least
 //!   one row each for the DoQ/DoH/DoT stream workloads — with sane
-//!   req/s and latency percentiles and (v4) per-worker steal counts
-//!   sized to the row's worker count, plus one congested-bottleneck
+//!   req/s and latency percentiles, plus one congested-bottleneck
 //!   `recovery` row per congestion controller whose p99 ordering
 //!   (both adaptive controllers beat the fixed-RTO oracle under
 //!   loss) is always enforced — the scenario is virtual-time
@@ -132,8 +131,6 @@ pub struct ProxyRow {
     pub p99_us: f64,
     /// Heap allocations per request over the measured window.
     pub allocs_per_req: f64,
-    /// Successful cross-worker steals, one entry per worker (v4).
-    pub steals_per_worker: Vec<u64>,
 }
 
 /// One parsed `recovery` row of the proxy artifact: the congested-
@@ -160,14 +157,13 @@ pub const REQUIRED_CONTROLLERS: [&str; 3] = ["fixed_rto", "cubic", "bbr_lite"];
 
 /// Validate `BENCH_proxy.json` structure and return the parsed
 /// throughput rows, recovery rows, and the recorded machine
-/// parallelism. Schema v4: every throughput row carries its
-/// `transport` and a `steals_per_worker` array with exactly one entry
-/// per worker; the CoAP rows must sweep 1/2/4/8 workers; each stream
+/// parallelism. Schema v5: every throughput row carries its
+/// `transport`; the CoAP rows must sweep 1/2/4/8 workers; each stream
 /// transport (doq/doh/dot) must appear at least once; and the
 /// `recovery` section must carry one congested-bottleneck row per
 /// congestion controller.
 pub fn parse_proxy(doc: &Json) -> Result<(Vec<ProxyRow>, Vec<RecoveryRow>, u32), String> {
-    check_schema(doc, "doc-bench/proxy/v4")?;
+    check_schema(doc, "doc-bench/proxy/v5")?;
     let cores = doc
         .get("machine")
         .and_then(|m| m.get("available_parallelism"))
@@ -183,20 +179,6 @@ pub fn parse_proxy(doc: &Json) -> Result<(Vec<ProxyRow>, Vec<RecoveryRow>, u32),
     let mut rows = Vec::new();
     for (i, row) in rows_json.iter().enumerate() {
         let ctx = format!("rows[{i}]");
-        let steals_json = row
-            .get("steals_per_worker")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{ctx}: missing \"steals_per_worker\" array (schema v4)"))?;
-        let mut steals_per_worker = Vec::new();
-        for (j, s) in steals_json.iter().enumerate() {
-            let v = s
-                .as_f64()
-                .ok_or_else(|| format!("{ctx}: steals_per_worker[{j}] is not a number"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("{ctx}: steals_per_worker[{j}] {v} invalid"));
-            }
-            steals_per_worker.push(v as u64);
-        }
         let parsed = ProxyRow {
             transport: field_str(row, "transport", &ctx)?.to_string(),
             workers: field_f64(row, "workers", &ctx)? as u32,
@@ -204,19 +186,11 @@ pub fn parse_proxy(doc: &Json) -> Result<(Vec<ProxyRow>, Vec<RecoveryRow>, u32),
             p50_us: field_f64(row, "p50_us", &ctx)?,
             p99_us: field_f64(row, "p99_us", &ctx)?,
             allocs_per_req: field_f64(row, "allocs_per_req", &ctx)?,
-            steals_per_worker,
         };
         let known = parsed.transport == "coap"
             || REQUIRED_STREAM_TRANSPORTS.contains(&parsed.transport.as_str());
         if !known {
             return Err(format!("{ctx}: unknown transport \"{}\"", parsed.transport));
-        }
-        if parsed.steals_per_worker.len() != parsed.workers as usize {
-            return Err(format!(
-                "{ctx}: steals_per_worker has {} entries for {} workers",
-                parsed.steals_per_worker.len(),
-                parsed.workers
-            ));
         }
         if parsed.req_per_s <= 0.0 || !parsed.req_per_s.is_finite() {
             return Err(format!("{ctx}: req_per_s {} invalid", parsed.req_per_s));
@@ -336,14 +310,13 @@ pub fn check_proxy(doc: &Json, require_scaling: bool) -> Result<String, String> 
     let ratio = rate(4) / rate(1);
     let mut summary = format!(
         "proxy: {} rows, {} recovery rows (fixed_rto p99 {fixed_p99}ms, cubic {}ms, \
-         bbr_lite {}ms), coap@4w {:.2} allocs/req ({} steals), machine parallelism \
-         {cores}, 4w/1w throughput ratio {ratio:.2}",
+         bbr_lite {}ms), coap@4w {:.2} allocs/req, machine parallelism {cores}, \
+         4w/1w throughput ratio {ratio:.2}",
         rows.len(),
         recovery.len(),
         p99("cubic"),
         p99("bbr_lite"),
-        sim_row.allocs_per_req,
-        sim_row.steals_per_worker.iter().sum::<u64>()
+        sim_row.allocs_per_req
     );
     if require_scaling {
         let required = required_scaling(cores);
@@ -516,13 +489,12 @@ mod tests {
 
     fn proxy_doc_with_recovery(cores: u32, r1: f64, r4: f64, recovery: &str) -> String {
         let row = |t: &str, w: u32, r: f64| {
-            let steals = vec!["0"; w as usize].join(", ");
             format!(
-                r#"{{"transport": "{t}", "workers": {w}, "req_per_s": {r}, "p50_us": 10.0, "p99_us": 50.0, "allocs_per_req": 0.5, "requests": 1000, "steals_per_worker": [{steals}]}}"#
+                r#"{{"transport": "{t}", "workers": {w}, "req_per_s": {r}, "p50_us": 10.0, "p99_us": 50.0, "allocs_per_req": 0.5, "requests": 1000}}"#
             )
         };
         format!(
-            r#"{{"schema": "doc-bench/proxy/v4", "machine": {{"available_parallelism": {cores}}}, "rows": [{},{},{},{},{},{},{}], "recovery": {recovery}}}"#,
+            r#"{{"schema": "doc-bench/proxy/v5", "machine": {{"available_parallelism": {cores}}}, "rows": [{},{},{},{},{},{},{}], "recovery": {recovery}}}"#,
             row("coap", 1, r1),
             row("coap", 2, (r1 + r4) / 2.0),
             row("coap", 4, r4),
@@ -588,8 +560,8 @@ mod tests {
     #[test]
     fn proxy_gate_requires_all_worker_rows() {
         let doc = parse(
-            r#"{"schema": "doc-bench/proxy/v4", "machine": {"available_parallelism": 4},
-                "rows": [{"transport": "coap", "workers": 1, "req_per_s": 1.0, "p50_us": 1.0, "p99_us": 2.0, "allocs_per_req": 1.0, "steals_per_worker": [0]}]}"#,
+            r#"{"schema": "doc-bench/proxy/v5", "machine": {"available_parallelism": 4},
+                "rows": [{"transport": "coap", "workers": 1, "req_per_s": 1.0, "p50_us": 1.0, "p99_us": 2.0, "allocs_per_req": 1.0}]}"#,
         )
         .unwrap();
         assert!(check_proxy(&doc, false).unwrap_err().contains("2 workers"));
@@ -600,13 +572,12 @@ mod tests {
         // A v2 artifact with only the CoAP sweep must be rejected: the
         // DoQ/DoH/DoT workloads cannot silently drop out of CI.
         let row = |w: u32| {
-            let steals = vec!["0"; w as usize].join(", ");
             format!(
-                r#"{{"transport": "coap", "workers": {w}, "req_per_s": 1.0, "p50_us": 1.0, "p99_us": 2.0, "allocs_per_req": 0.5, "steals_per_worker": [{steals}]}}"#
+                r#"{{"transport": "coap", "workers": {w}, "req_per_s": 1.0, "p50_us": 1.0, "p99_us": 2.0, "allocs_per_req": 0.5}}"#
             )
         };
         let doc = parse(&format!(
-            r#"{{"schema": "doc-bench/proxy/v4", "machine": {{"available_parallelism": 4}}, "rows": [{},{},{},{}]}}"#,
+            r#"{{"schema": "doc-bench/proxy/v5", "machine": {{"available_parallelism": 4}}, "rows": [{},{},{},{}]}}"#,
             row(1),
             row(2),
             row(4),
@@ -620,8 +591,8 @@ mod tests {
         assert!(check_proxy(&v1, false).unwrap_err().contains("schema"));
         // Unknown transport labels are rejected.
         let doc = parse(
-            r#"{"schema": "doc-bench/proxy/v4", "machine": {"available_parallelism": 4},
-                "rows": [{"transport": "smtp", "workers": 1, "req_per_s": 1.0, "p50_us": 1.0, "p99_us": 2.0, "allocs_per_req": 1.0, "steals_per_worker": [0]}]}"#,
+            r#"{"schema": "doc-bench/proxy/v5", "machine": {"available_parallelism": 4},
+                "rows": [{"transport": "smtp", "workers": 1, "req_per_s": 1.0, "p50_us": 1.0, "p99_us": 2.0, "allocs_per_req": 1.0}]}"#,
         )
         .unwrap();
         assert!(check_proxy(&doc, false)
@@ -765,31 +736,22 @@ mod tests {
     #[test]
     fn proxy_gate_rejects_inverted_percentiles() {
         let doc = parse(
-            r#"{"schema": "doc-bench/proxy/v4", "machine": {"available_parallelism": 4},
-                "rows": [{"transport": "coap", "workers": 1, "req_per_s": 1.0, "p50_us": 9.0, "p99_us": 2.0, "allocs_per_req": 1.0, "steals_per_worker": [0]}]}"#,
+            r#"{"schema": "doc-bench/proxy/v5", "machine": {"available_parallelism": 4},
+                "rows": [{"transport": "coap", "workers": 1, "req_per_s": 1.0, "p50_us": 9.0, "p99_us": 2.0, "allocs_per_req": 1.0}]}"#,
         )
         .unwrap();
         assert!(check_proxy(&doc, false).unwrap_err().contains("p50"));
     }
 
     #[test]
-    fn proxy_gate_requires_steal_counts_per_worker() {
-        // v3 artifacts (no steals_per_worker field) fail the schema
-        // version check outright.
-        let v3 = parse(r#"{"schema": "doc-bench/proxy/v3", "machine": {"available_parallelism": 4}, "rows": []}"#).unwrap();
-        assert!(check_proxy(&v3, false).unwrap_err().contains("schema"));
-        // A v4 row without the array is rejected…
-        let missing = proxy_doc(4, 1.0, 2.0).replacen(r#", "steals_per_worker": [0]"#, "", 1);
-        let err = check_proxy(&parse(&missing).unwrap(), false).unwrap_err();
-        assert!(err.contains("steals_per_worker"), "{err}");
-        // …and so is one whose length does not match its worker count.
-        let short = proxy_doc(4, 1.0, 2.0).replacen(
-            r#""steals_per_worker": [0, 0, 0, 0]"#,
-            r#""steals_per_worker": [0, 0]"#,
-            1,
-        );
-        let err = check_proxy(&parse(&short).unwrap(), false).unwrap_err();
-        assert!(err.contains("2 entries for 4 workers"), "{err}");
+    fn proxy_gate_rejects_v3_and_v4_schemas() {
+        // Older artifacts fail the schema version check even when
+        // every row is otherwise valid.
+        for old in ["doc-bench/proxy/v3", "doc-bench/proxy/v4"] {
+            let doc = proxy_doc(4, 1.0, 2.0).replacen("doc-bench/proxy/v5", old, 1);
+            let err = check_proxy(&parse(&doc).unwrap(), false).unwrap_err();
+            assert!(err.contains("schema"), "{old}: {err}");
+        }
     }
 
     #[test]

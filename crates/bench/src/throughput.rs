@@ -86,8 +86,6 @@ pub struct ThroughputRow {
     pub allocs_per_req: f64,
     /// Proxy cache hit rate over the measured window.
     pub cache_hit_rate: f64,
-    /// Successful cross-worker steals, one entry per worker.
-    pub steals_per_worker: Vec<u64>,
 }
 
 /// Pre-encoded replay mix: one wire datagram per (name, method,
@@ -216,9 +214,10 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
     // Measured closed-loop window.
     let total = spec.total_requests;
     let enqueue_ns: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
-    // Full capacity per bucket: with work stealing a single worker can
-    // end up recording most of the run, and a mid-window realloc would
-    // both skew latency and count against `allocs_per_req`.
+    // Full capacity per bucket: one worker can take a whole
+    // 128-datagram grab at a time and end up recording most of the run,
+    // and a mid-window realloc would both skew latency and count
+    // against `allocs_per_req`.
     let latency_buckets: Vec<Mutex<Vec<u64>>> = (0..spec.workers)
         .map(|_| Mutex::new(Vec::with_capacity(total as usize)))
         .collect();
@@ -269,7 +268,6 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         p99_us: percentile_us(&latencies, 0.99),
         allocs_per_req: allocs as f64 / total.max(1) as f64,
         cache_hit_rate: f64::from(hits) / total.max(1) as f64,
-        steals_per_worker: stats.steals_per_worker,
     }
 }
 
@@ -290,12 +288,12 @@ pub fn recovery_rows() -> Vec<doc_core::bottleneck::BottleneckResult> {
         .collect()
 }
 
-/// Render the `BENCH_proxy.json` artifact (schema `doc-bench/proxy/v4`)
+/// Render the `BENCH_proxy.json` artifact (schema `doc-bench/proxy/v5`)
 /// for a set of runs, recording the measuring machine's parallelism so
 /// the gate can scale its expectations. Every throughput row carries
-/// its `transport` label (`coap`, `doq`, `doh`, `dot`) and its
-/// per-worker steal counts; the `recovery` rows record the congested-
-/// bottleneck scenario per congestion controller.
+/// its `transport` label (`coap`, `doq`, `doh`, `dot`); the `recovery`
+/// rows record the congested-bottleneck scenario per congestion
+/// controller.
 pub fn proxy_json(
     rows: &[ThroughputRow],
     recovery: &[doc_core::bottleneck::BottleneckResult],
@@ -304,17 +302,11 @@ pub fn proxy_json(
         .map(|n| n.get())
         .unwrap_or(1);
     let mut json = format!(
-        "{{\n  \"schema\": \"doc-bench/proxy/v4\",\n  \"machine\": {{\"available_parallelism\": {cores}}},\n  \"rows\": [\n"
+        "{{\n  \"schema\": \"doc-bench/proxy/v5\",\n  \"machine\": {{\"available_parallelism\": {cores}}},\n  \"rows\": [\n"
     );
     for (i, r) in rows.iter().enumerate() {
-        let steals = r
-            .steals_per_worker
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
         json.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"workers\": {}, \"requests\": {}, \"req_per_s\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"allocs_per_req\": {:.2}, \"cache_hit_rate\": {:.4}, \"steals_per_worker\": [{}]}}{}\n",
+            "    {{\"transport\": \"{}\", \"workers\": {}, \"requests\": {}, \"req_per_s\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"allocs_per_req\": {:.2}, \"cache_hit_rate\": {:.4}}}{}\n",
             r.mode.label(),
             r.workers,
             r.requests,
@@ -323,7 +315,6 @@ pub fn proxy_json(
             r.p99_us,
             r.allocs_per_req,
             r.cache_hit_rate,
-            steals,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -469,7 +460,6 @@ mod tests {
             p99_us: 90.0,
             allocs_per_req: 0.5,
             cache_hit_rate: 0.99,
-            steals_per_worker: vec![0; workers],
         };
         let mut rows: Vec<ThroughputRow> = WORKER_SWEEP
             .iter()

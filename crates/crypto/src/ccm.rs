@@ -19,9 +19,9 @@
 //! blocks) through one multi-block [`Aes128::encrypt_blocks`] call, so
 //! even a single-packet seal keeps 8 counter blocks in flight on
 //! AES-NI. [`AesCcm::seal_suffix_batch`] goes further and interleaves
-//! the CBC-MAC chains of *many* packets through the same wide encrypt,
-//! which is what the pool workers use to amortize a whole `pop_batch`
-//! drain.
+//! the CBC-MAC chains of *many* packets through the same wide encrypt
+//! (the `crypto` bench measures it; the `crypto` fuzz family
+//! cross-checks it against sequential sealing).
 
 use crate::aes::Aes128;
 use crate::backend::Backend;
@@ -47,22 +47,6 @@ pub struct SealRequest<'a> {
     /// Buffer whose suffix is sealed; the tag is appended to it.
     pub buf: &'a mut Vec<u8>,
     /// Offset where the plaintext suffix begins.
-    pub start: usize,
-}
-
-/// One packet of a batched open: the suffix `buf[start..]` holds
-/// `ciphertext || tag` and becomes the plaintext on success,
-/// byte-exactly what [`AesCcm::open_suffix_in_place`] would have
-/// produced.
-pub struct OpenRequest<'a> {
-    /// AEAD nonce; must be [`AesCcm::nonce_len`] bytes.
-    pub nonce: &'a [u8],
-    /// Additional authenticated data.
-    pub aad: &'a [u8],
-    /// Buffer whose suffix is opened; the tag is truncated off on
-    /// success.
-    pub buf: &'a mut Vec<u8>,
-    /// Offset where the `ciphertext || tag` suffix begins.
     pub start: usize,
 }
 
@@ -350,93 +334,6 @@ impl AesCcm {
         Ok(())
     }
 
-    /// Open many packets in one batched pass — the inbound mirror of
-    /// [`AesCcm::seal_suffix_batch`], built for a pool worker draining
-    /// a whole batch of protected datagrams at once. Every packet's
-    /// CTR keystream (including `S_0`) comes from one flattened
-    /// multi-block AES pass, and the CBC-MAC chains of all packets
-    /// advance in lockstep through the same wide encrypt.
-    ///
-    /// Verification is all-or-nothing: if any packet has a bad
-    /// parameter or a bad tag, *every* buffer is restored byte-exactly
-    /// (CTR is an XOR involution, so re-applying the keystream undoes
-    /// the trial decryption) and no plaintext is exposed. A caller
-    /// that needs to isolate the offending packet falls back to
-    /// per-packet [`AesCcm::open_suffix_in_place`].
-    pub fn open_suffix_batch(&self, reqs: &mut [OpenRequest<'_>]) -> Result<(), CryptoError> {
-        let mut splits = Vec::with_capacity(reqs.len());
-        for r in reqs.iter() {
-            if r.nonce.len() != self.nonce_len() {
-                return Err(CryptoError::InvalidParameter);
-            }
-            let Some(suffix_len) = r.buf.len().checked_sub(r.start) else {
-                return Err(CryptoError::InvalidParameter);
-            };
-            let Some(pt_len) = suffix_len.checked_sub(self.tag_len) else {
-                return Err(CryptoError::AuthFailed);
-            };
-            splits.push(r.start + pt_len);
-        }
-
-        // Every packet's counter blocks (A_0 .. A_n), flattened into
-        // one keystream batch — same layout as the seal side.
-        let mut spans = Vec::with_capacity(reqs.len());
-        let mut ks: Vec<[u8; 16]> = Vec::new();
-        for (r, &split) in reqs.iter().zip(splits.iter()) {
-            spans.push(ks.len());
-            let nblocks = (split - r.start).div_ceil(16) as u64;
-            for ctr in 0..=nblocks {
-                ks.push(self.counter_block(r.nonce, ctr));
-            }
-        }
-        self.aes.encrypt_blocks(&mut ks);
-
-        // XOR each packet's data blocks with its keystream slice; an
-        // involution, so calling it twice restores the ciphertext.
-        let xor_data = |reqs: &mut [OpenRequest<'_>]| {
-            for ((r, &split), &off) in reqs.iter_mut().zip(splits.iter()).zip(spans.iter()) {
-                let data = &mut r.buf[r.start..split];
-                for (chunk, key) in data.chunks_mut(16).zip(ks[off + 1..].iter()) {
-                    for (b, k) in chunk.iter_mut().zip(key.iter()) {
-                        *b ^= k;
-                    }
-                }
-            }
-        };
-        xor_data(reqs); // trial decryption
-
-        // Batched CBC-MAC over the trial plaintexts.
-        let tags = self.cbc_mac_streams(
-            reqs.iter()
-                .zip(splits.iter())
-                .map(|(r, &split)| MacStream::new(self, r.nonce, r.aad, &r.buf[r.start..split]))
-                .collect(),
-        );
-
-        // Check every tag (no early exit) before deciding the batch.
-        let mut ok = true;
-        for ((r, &split), (&off, tag)) in reqs
-            .iter()
-            .zip(splits.iter())
-            .zip(spans.iter().zip(tags.iter()))
-        {
-            let s0 = &ks[off];
-            let mut recv_tag = [0u8; 16];
-            for i in 0..self.tag_len {
-                recv_tag[i] = r.buf[split + i] ^ s0[i];
-            }
-            ok &= ct_eq(&recv_tag[..self.tag_len], &tag[..self.tag_len]);
-        }
-        if !ok {
-            xor_data(reqs); // restore the original ciphertext bytes
-            return Err(CryptoError::AuthFailed);
-        }
-        for (r, &split) in reqs.iter_mut().zip(splits.iter()) {
-            r.buf.truncate(split);
-        }
-        Ok(())
-    }
-
     /// Compute the raw (unencrypted) CBC-MAC tag over the block
     /// sequence [`MacStream`] yields.
     fn cbc_mac(&self, nonce: &[u8], aad: &[u8], msg: &[u8]) -> [u8; 16] {
@@ -454,16 +351,10 @@ impl AesCcm {
     /// [`Aes128::encrypt_blocks`] call. Packets whose streams are
     /// exhausted drop out; the survivors keep batching.
     fn cbc_mac_batch(&self, reqs: &[SealRequest<'_>]) -> Vec<[u8; 16]> {
-        self.cbc_mac_streams(
-            reqs.iter()
-                .map(|r| MacStream::new(self, r.nonce, r.aad, &r.buf[r.start..]))
-                .collect(),
-        )
-    }
-
-    /// The interleaved CBC-MAC recurrence shared by the seal and open
-    /// batches, over pre-built per-packet block streams.
-    fn cbc_mac_streams(&self, mut streams: Vec<MacStream<'_>>) -> Vec<[u8; 16]> {
+        let mut streams: Vec<MacStream<'_>> = reqs
+            .iter()
+            .map(|r| MacStream::new(self, r.nonce, r.aad, &r.buf[r.start..]))
+            .collect();
         let n = streams.len();
         let mut states = vec![[0u8; 16]; n];
         let mut scratch = vec![[0u8; 16]; n];
@@ -771,116 +662,6 @@ mod tests {
         );
         assert_eq!(good, b"fine");
         assert_eq!(bad, b"doomed");
-    }
-
-    /// Batched opening round-trips the sequential seal across a spread
-    /// of packet sizes, mixed AADs, framing prefixes, and every
-    /// backend — byte-exact with `open_suffix_in_place`.
-    #[test]
-    fn open_batch_matches_sequential() {
-        let key = [0x43u8; 16];
-        let sizes = [0usize, 1, 15, 16, 17, 47, 48, 64, 200];
-        for backend in Backend::available() {
-            let ccm = AesCcm::with_backend(&key, 8, 2, backend).unwrap();
-            let nonces: Vec<[u8; 13]> = (0..sizes.len())
-                .map(|i| core::array::from_fn(|j| (i * 29 + j) as u8))
-                .collect();
-            let aads: Vec<Vec<u8>> = (0..sizes.len())
-                .map(|i| vec![i as u8; i * 5 % 33])
-                .collect();
-            let plains: Vec<Vec<u8>> = sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| (0..n).map(|j| (i * 13 + j) as u8).collect())
-                .collect();
-            // Each buffer: 3 framing bytes, then ciphertext || tag.
-            let mut bufs: Vec<Vec<u8>> = plains
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let mut buf = vec![0xEE, 0xFF, i as u8];
-                    ccm.seal_into(&nonces[i], &aads[i], p, &mut buf).unwrap();
-                    buf
-                })
-                .collect();
-            let mut reqs: Vec<OpenRequest<'_>> = bufs
-                .iter_mut()
-                .enumerate()
-                .map(|(i, buf)| OpenRequest {
-                    nonce: &nonces[i],
-                    aad: &aads[i],
-                    buf,
-                    start: 3,
-                })
-                .collect();
-            ccm.open_suffix_batch(&mut reqs).unwrap();
-            for (i, buf) in bufs.iter().enumerate() {
-                assert_eq!(&buf[..3], &[0xEE, 0xFF, i as u8], "{}", backend.label());
-                assert_eq!(&buf[3..], plains[i], "{}", backend.label());
-            }
-        }
-    }
-
-    /// A forged packet anywhere in an open batch fails the whole batch
-    /// and restores *every* buffer byte-exactly — no plaintext of any
-    /// packet (valid or forged) is left behind.
-    #[test]
-    fn open_batch_failure_restores_every_buffer() {
-        let ccm = AesCcm::cose_ccm_16_64_128(&[0x61u8; 16]);
-        let nonces: Vec<[u8; 13]> = (0..3).map(|i| [i as u8 + 1; 13]).collect();
-        let mut bufs: Vec<Vec<u8>> = (0..3)
-            .map(|i| {
-                ccm.seal(&nonces[i], b"aad", format!("packet {i}").as_bytes())
-                    .unwrap()
-            })
-            .collect();
-        bufs[1][2] ^= 0x80; // forge the middle packet
-        let snapshots = bufs.clone();
-        let mut reqs: Vec<OpenRequest<'_>> = bufs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, buf)| OpenRequest {
-                nonce: &nonces[i],
-                aad: b"aad",
-                buf,
-                start: 0,
-            })
-            .collect();
-        assert_eq!(
-            ccm.open_suffix_batch(&mut reqs),
-            Err(CryptoError::AuthFailed)
-        );
-        assert_eq!(bufs, snapshots, "all buffers restored on failure");
-
-        // Parameter errors are caught before any buffer is touched: a
-        // wrong nonce length is InvalidParameter, a suffix shorter
-        // than the tag is AuthFailed.
-        let short_nonce = [9u8; 12];
-        let mut reqs: Vec<OpenRequest<'_>> = bufs
-            .iter_mut()
-            .map(|buf| OpenRequest {
-                nonce: &short_nonce,
-                aad: b"aad",
-                buf,
-                start: 0,
-            })
-            .collect();
-        assert_eq!(
-            ccm.open_suffix_batch(&mut reqs),
-            Err(CryptoError::InvalidParameter)
-        );
-        let mut tiny = vec![1u8, 2, 3];
-        let mut reqs = [OpenRequest {
-            nonce: &nonces[0],
-            aad: b"",
-            buf: &mut tiny,
-            start: 0,
-        }];
-        assert_eq!(
-            ccm.open_suffix_batch(&mut reqs),
-            Err(CryptoError::AuthFailed)
-        );
-        assert_eq!(tiny, vec![1u8, 2, 3]);
     }
 
     /// `new_cached` builds the same cipher as `new` (through the

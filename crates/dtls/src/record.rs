@@ -10,7 +10,7 @@
 //! `epoch(2) || seq(6) || type(1) || version(2) || plaintext_length(2)`.
 
 use crate::DtlsError;
-use doc_crypto::ccm::{AesCcm, SealRequest};
+use doc_crypto::ccm::AesCcm;
 
 /// DTLS 1.2 on-the-wire version bytes ({254, 253}).
 pub const VERSION_DTLS12: [u8; 2] = [254, 253];
@@ -222,21 +222,6 @@ impl<'a> Iterator for RecordViewIter<'a> {
     }
 }
 
-/// One plaintext of a batched record seal (see
-/// [`CipherState::seal_batch`]): the header fields that bind the AAD
-/// plus the plaintext to protect.
-#[derive(Debug, Clone, Copy)]
-pub struct RecordSeal<'a> {
-    /// Content type.
-    pub ctype: ContentType,
-    /// Epoch.
-    pub epoch: u16,
-    /// 48-bit sequence number.
-    pub seq: u64,
-    /// Plaintext to protect.
-    pub plaintext: &'a [u8],
-}
-
 /// Write-direction cipher state for `TLS_PSK_WITH_AES_128_CCM_8`.
 pub struct CipherState {
     ccm: AesCcm,
@@ -304,55 +289,6 @@ impl CipherState {
             .seal_into(&nonce, &aad, plaintext, &mut out)
             .map_err(|_| DtlsError::Crypto)?;
         Ok(out)
-    }
-
-    /// Protect a whole batch of plaintexts in one pass, returning one
-    /// record payload (`explicit_nonce || ciphertext || tag`) per item,
-    /// byte-identical to sealing each item with [`CipherState::seal`].
-    ///
-    /// The CBC-MAC chains of every record advance in lockstep and the
-    /// CTR keystreams are generated in one flattened multi-block AES
-    /// pass ([`AesCcm::seal_suffix_batch`]), so a `ProxyPool` worker
-    /// that drained a `pop_batch` of queries amortizes the whole
-    /// batch's keystream setup. Validation is all-or-nothing.
-    pub fn seal_batch(&self, items: &[RecordSeal<'_>]) -> Result<Vec<Vec<u8>>, DtlsError> {
-        let mut outs: Vec<Vec<u8>> = items
-            .iter()
-            .map(|it| {
-                let mut out = Vec::with_capacity(EXPLICIT_NONCE_LEN + it.plaintext.len() + TAG_LEN);
-                let [e0, e1] = it.epoch.to_be_bytes();
-                let [_, _, s2, s3, s4, s5, s6, s7] = it.seq.to_be_bytes();
-                out.extend_from_slice(&[e0, e1, s2, s3, s4, s5, s6, s7]);
-                out.extend_from_slice(it.plaintext);
-                out
-            })
-            .collect();
-        let nonces: Vec<[u8; 12]> = items
-            .iter()
-            .map(|it| {
-                let [e0, e1] = it.epoch.to_be_bytes();
-                let [_, _, s2, s3, s4, s5, s6, s7] = it.seq.to_be_bytes();
-                self.nonce(&[e0, e1, s2, s3, s4, s5, s6, s7])
-            })
-            .collect();
-        let aads: Vec<[u8; 13]> = items
-            .iter()
-            .map(|it| Self::aad(it.ctype, it.epoch, it.seq, it.plaintext.len()))
-            .collect();
-        let mut reqs: Vec<SealRequest<'_>> = outs
-            .iter_mut()
-            .zip(nonces.iter().zip(aads.iter()))
-            .map(|(buf, (nonce, aad))| SealRequest {
-                nonce,
-                aad,
-                buf,
-                start: EXPLICIT_NONCE_LEN,
-            })
-            .collect();
-        self.ccm
-            .seal_suffix_batch(&mut reqs)
-            .map_err(|_| DtlsError::Crypto)?;
-        Ok(outs)
     }
 
     /// Unprotect a record payload.
@@ -654,29 +590,6 @@ mod tests {
             Err(DtlsError::Crypto)
         );
         assert_eq!(buf, vec![0x77]);
-    }
-
-    #[test]
-    fn seal_batch_matches_sequential() {
-        let cs = CipherState::new(&[7u8; 16], [1, 2, 3, 4]);
-        let plains: Vec<Vec<u8>> = (0..9usize).map(|i| vec![i as u8; i * 23]).collect();
-        let items: Vec<RecordSeal<'_>> = plains
-            .iter()
-            .enumerate()
-            .map(|(i, p)| RecordSeal {
-                ctype: ContentType::ApplicationData,
-                epoch: 1,
-                seq: 100 + i as u64,
-                plaintext: p,
-            })
-            .collect();
-        let batched = cs.seal_batch(&items).unwrap();
-        for (it, got) in items.iter().zip(batched.iter()) {
-            let expect = cs.seal(it.ctype, it.epoch, it.seq, it.plaintext).unwrap();
-            assert_eq!(*got, expect, "seq {}", it.seq);
-            let plain = cs.open(it.ctype, it.epoch, it.seq, got).unwrap();
-            assert_eq!(plain, it.plaintext);
-        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::OscoreError;
 use doc_coap::msg::{CoapMessage, Code, MsgType};
 use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_coap::view::CoapView;
-use doc_crypto::ccm::{AesCcm, SealRequest};
+use doc_crypto::ccm::AesCcm;
 
 /// Decoded OSCORE option value.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -469,49 +469,6 @@ impl OscoreEndpoint {
             .seal_suffix_in_place(&nonce, aad.as_slice(), out, inner_start)
             .map_err(|_| OscoreError::Crypto)?;
         Ok(RequestBinding { kid, piv })
-    }
-
-    /// Protect a whole batch of requests in one pass, returning each
-    /// request's wire bytes and binding — byte-identical to calling
-    /// [`OscoreEndpoint::protect_request_into`] per message, but the
-    /// CBC-MAC chains of all requests advance in lockstep and every
-    /// keystream is generated through one flattened multi-block AES
-    /// pass ([`AesCcm::seal_suffix_batch`]). This is how a `ProxyPool`
-    /// worker amortizes keystream setup across a `pop_batch` drain.
-    pub fn protect_batch(
-        &mut self,
-        msgs: &[CoapMessage],
-    ) -> Result<(Vec<Vec<u8>>, Vec<RequestBinding>), OscoreError> {
-        let n = msgs.len();
-        let mut wires: Vec<Vec<u8>> = Vec::with_capacity(n);
-        let mut bindings: Vec<RequestBinding> = Vec::with_capacity(n);
-        let mut nonces = Vec::with_capacity(n);
-        let mut aads = Vec::with_capacity(n);
-        let mut starts = Vec::with_capacity(n);
-        for msg in msgs {
-            let piv = self.ctx.next_piv()?;
-            let kid = self.ctx.sender_id.clone();
-            let mut out = Vec::new();
-            starts.push(serialize_outer_request(msg, &kid, &piv, &mut out));
-            wires.push(out);
-            nonces.push(self.ctx.nonce(&kid, &piv));
-            aads.push(build_aad(&kid, &piv));
-            bindings.push(RequestBinding { kid, piv });
-        }
-        let mut reqs: Vec<SealRequest<'_>> = wires
-            .iter_mut()
-            .zip(nonces.iter().zip(aads.iter().zip(starts.iter())))
-            .map(|(buf, (nonce, (aad, &start)))| SealRequest {
-                nonce,
-                aad: aad.as_slice(),
-                buf,
-                start,
-            })
-            .collect();
-        self.sender_ccm
-            .seal_suffix_batch(&mut reqs)
-            .map_err(|_| OscoreError::Crypto)?;
-        Ok((wires, bindings))
     }
 
     /// Unprotect a request; enforces replay protection and, when
@@ -1016,39 +973,6 @@ mod tests {
         let (inner, _) = server.unprotect_request_view(&view).unwrap();
         assert_eq!(inner.code, Code::GET);
         assert_eq!(inner.uri_path(), "/dns");
-    }
-
-    /// `protect_batch` must produce exactly the wires and bindings of
-    /// protecting each request sequentially with `protect_request_into`
-    /// — and the server must unprotect every batched wire.
-    #[test]
-    fn protect_batch_matches_sequential() {
-        let secret = b"0123456789abcdef";
-        // Two identically-derived endpoints so both paths consume the
-        // same PIV sequence.
-        let mut seq =
-            OscoreEndpoint::new(SecurityContext::derive(secret, b"s", &[], &[0x01]), false);
-        let mut bat =
-            OscoreEndpoint::new(SecurityContext::derive(secret, b"s", &[], &[0x01]), false);
-        let msgs: Vec<CoapMessage> = (0..7u16)
-            .map(|i| {
-                CoapMessage::request(Code::FETCH, MsgType::Con, 100 + i, vec![i as u8, 0xBB])
-                    .with_option(CoapOption::new(OptionNumber::URI_PATH, b"dns".to_vec()))
-                    .with_payload(vec![0x5A; 10 + 17 * i as usize])
-            })
-            .collect();
-        let (wires, bindings) = bat.protect_batch(&msgs).unwrap();
-        let mut server =
-            OscoreEndpoint::new(SecurityContext::derive(secret, b"s", &[0x01], &[]), false);
-        for (i, msg) in msgs.iter().enumerate() {
-            let mut expect = Vec::new();
-            let expect_binding = seq.protect_request_into(msg, &mut expect).unwrap();
-            assert_eq!(wires[i], expect, "wire {i}");
-            assert_eq!(bindings[i], expect_binding, "binding {i}");
-            let view = doc_coap::view::CoapView::parse(&wires[i]).unwrap();
-            let (inner, _) = server.unprotect_request_view(&view).unwrap();
-            assert_eq!(inner.payload, msg.payload, "unprotect {i}");
-        }
     }
 
     #[test]

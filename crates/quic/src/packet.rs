@@ -15,7 +15,7 @@
 //! ```
 
 use crate::{varint, QuicError};
-use doc_crypto::ccm::{AesCcm, OpenRequest, SealRequest};
+use doc_crypto::ccm::AesCcm;
 use doc_crypto::hkdf;
 
 /// First byte of a QUIC-lite long-header (handshake) packet.
@@ -138,94 +138,6 @@ impl PacketKeys {
             .open(&self.nonce(pn), header, body)
             .map_err(|_| QuicError::Crypto)
     }
-
-    /// Seal a whole batch of 1-RTT packets in one pass: each item's
-    /// plaintext is appended to its `out` (which typically already
-    /// holds the encoded header) and protected, byte-identically to
-    /// calling [`PacketKeys::seal_into`] per packet — but the CBC-MAC
-    /// chains advance in lockstep and every packet's CTR keystream
-    /// comes from one flattened multi-block AES pass
-    /// ([`AesCcm::seal_suffix_batch`]). On failure every `out` is
-    /// restored to its original length.
-    pub fn seal_batch(&self, items: &mut [PacketSeal<'_>]) -> Result<(), QuicError> {
-        let nonces: Vec<[u8; 12]> = items.iter().map(|it| self.nonce(it.pn)).collect();
-        let starts: Vec<usize> = items
-            .iter_mut()
-            .map(|it| {
-                let start = it.out.len();
-                it.out.extend_from_slice(it.plaintext);
-                start
-            })
-            .collect();
-        let mut reqs: Vec<SealRequest<'_>> = items
-            .iter_mut()
-            .zip(nonces.iter().zip(starts.iter()))
-            .map(|(it, (nonce, &start))| SealRequest {
-                nonce,
-                aad: it.header,
-                buf: &mut *it.out,
-                start,
-            })
-            .collect();
-        self.ccm.seal_suffix_batch(&mut reqs).map_err(|_| {
-            for (it, &start) in items.iter_mut().zip(starts.iter()) {
-                it.out.truncate(start);
-            }
-            QuicError::Crypto
-        })
-    }
-
-    /// Open a whole batch of 1-RTT packet bodies in one pass — the
-    /// inbound mirror of [`PacketKeys::seal_batch`] for a worker
-    /// draining many protected datagrams at once
-    /// ([`AesCcm::open_suffix_batch`]). Each item's `buf[start..]`
-    /// holds `ciphertext || tag` and becomes the plaintext on success.
-    /// All-or-nothing: on any failure every buffer is restored
-    /// byte-exactly; fall back to per-packet [`PacketKeys::open`] to
-    /// isolate the forged datagram.
-    pub fn open_batch(&self, items: &mut [PacketOpen<'_>]) -> Result<(), QuicError> {
-        let nonces: Vec<[u8; 12]> = items.iter().map(|it| self.nonce(it.pn)).collect();
-        let mut reqs: Vec<OpenRequest<'_>> = items
-            .iter_mut()
-            .zip(nonces.iter())
-            .map(|(it, nonce)| OpenRequest {
-                nonce,
-                aad: it.header,
-                buf: &mut *it.buf,
-                start: it.start,
-            })
-            .collect();
-        self.ccm
-            .open_suffix_batch(&mut reqs)
-            .map_err(|_| QuicError::Crypto)
-    }
-}
-
-/// One packet of a batched 1-RTT open (see [`PacketKeys::open_batch`]).
-pub struct PacketOpen<'a> {
-    /// Packet number (forms the nonce).
-    pub pn: u64,
-    /// Header bytes authenticated as AAD.
-    pub header: &'a [u8],
-    /// Buffer whose suffix `buf[start..]` holds `ciphertext || tag`
-    /// and becomes the plaintext on success.
-    pub buf: &'a mut Vec<u8>,
-    /// Offset where the protected body begins (typically the header
-    /// length, so the datagram is opened in place).
-    pub start: usize,
-}
-
-/// One packet of a batched 1-RTT seal (see [`PacketKeys::seal_batch`]).
-pub struct PacketSeal<'a> {
-    /// Packet number (forms the nonce).
-    pub pn: u64,
-    /// Header bytes to authenticate as AAD.
-    pub header: &'a [u8],
-    /// Frame plaintext to protect.
-    pub plaintext: &'a [u8],
-    /// Output buffer; `ciphertext || tag` is appended after whatever it
-    /// already holds (typically the encoded header).
-    pub out: &'a mut Vec<u8>,
 }
 
 #[cfg(test)]
@@ -271,88 +183,6 @@ mod tests {
         assert!(other.open(7, &header, &sealed).is_err());
         assert!(rx.open(8, &header, &sealed).is_err());
         assert!(rx.open(7, &[0u8; 4], &sealed).is_err());
-    }
-
-    #[test]
-    fn seal_batch_matches_sequential() {
-        let secret = b"psk-0123456789abcdef-randoms";
-        let tx = PacketKeys::derive(secret, "client write");
-        let rx = PacketKeys::derive(secret, "client write");
-        let plains: Vec<Vec<u8>> = (0..9usize).map(|i| vec![i as u8; 5 + i * 19]).collect();
-        let headers: Vec<Vec<u8>> = (0..plains.len())
-            .map(|i| {
-                let mut h = Vec::new();
-                Header::encode_into(Space::OneRtt, [0xD0, 0xC1], 500 + i as u64, &mut h);
-                h
-            })
-            .collect();
-        // Sequential reference datagrams: header || sealed body.
-        let expect: Vec<Vec<u8>> = plains
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let mut out = headers[i].clone();
-                tx.seal_into(500 + i as u64, &headers[i], p, &mut out)
-                    .unwrap();
-                out
-            })
-            .collect();
-        let mut outs: Vec<Vec<u8>> = headers.clone();
-        let mut items: Vec<PacketSeal<'_>> = outs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, out)| PacketSeal {
-                pn: 500 + i as u64,
-                header: &headers[i],
-                plaintext: &plains[i],
-                out,
-            })
-            .collect();
-        tx.seal_batch(&mut items).unwrap();
-        assert_eq!(outs, expect);
-        for (i, wire) in outs.iter().enumerate() {
-            let body = &wire[headers[i].len()..];
-            assert_eq!(
-                rx.open(500 + i as u64, &headers[i], body).unwrap(),
-                plains[i]
-            );
-        }
-
-        // Batched open: the whole flight decrypts in place in one
-        // pass, leaving header || plaintext per datagram.
-        let mut wires = outs.clone();
-        let mut opens: Vec<PacketOpen<'_>> = wires
-            .iter_mut()
-            .enumerate()
-            .map(|(i, buf)| PacketOpen {
-                pn: 500 + i as u64,
-                header: &headers[i],
-                buf,
-                start: headers[i].len(),
-            })
-            .collect();
-        rx.open_batch(&mut opens).unwrap();
-        for (i, wire) in wires.iter().enumerate() {
-            assert_eq!(&wire[..headers[i].len()], &headers[i][..]);
-            assert_eq!(&wire[headers[i].len()..], plains[i]);
-        }
-
-        // A forged datagram fails the batch and restores every buffer.
-        let mut wires = outs.clone();
-        wires[4][headers[4].len()] ^= 1;
-        let snapshots = wires.clone();
-        let mut opens: Vec<PacketOpen<'_>> = wires
-            .iter_mut()
-            .enumerate()
-            .map(|(i, buf)| PacketOpen {
-                pn: 500 + i as u64,
-                header: &headers[i],
-                buf,
-                start: headers[i].len(),
-            })
-            .collect();
-        assert_eq!(rx.open_batch(&mut opens), Err(QuicError::Crypto));
-        assert_eq!(wires, snapshots);
     }
 
     /// Rederiving packet keys for the same secret hits the AES
