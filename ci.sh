@@ -21,7 +21,8 @@
 #                    # dormant on smaller runners but is always present
 #                    # in the v5 schema), the zero-alloc pool gate
 #                    # (allocs_per_req < 1 on the 4-worker CoAP sim
-#                    # path, always enforced),
+#                    # path and on every doq/doh/dot row, always
+#                    # enforced),
 #                    # the congested-bottleneck recovery gate (all
 #                    # three congestion controllers' rows present and
 #                    # both adaptive p99s below the fixed-RTO oracle;
@@ -31,12 +32,13 @@
 #                    # reference, batch-8 sealing >=1.3x batch-1 on the
 #                    # multi-block backends).
 #   ./ci.sh fuzz     # release build + the deterministic differential
-#                    # fuzzing campaign (fuzz_gate): 140k fixed-seed
-#                    # iterations across the seven differential
-#                    # families (six parsers + the crypto substrate),
-#                    # failing with a shrunk counterexample on any
-#                    # owned/view/re-encode (or backend/batch)
-#                    # disagreement.
+#                    # fuzzing campaign (fuzz_gate): 160k fixed-seed
+#                    # iterations across the eight differential
+#                    # families (six parsers, the crypto substrate and
+#                    # the borrowed-view resolve path), failing with a
+#                    # shrunk counterexample on any owned/view/re-encode
+#                    # (or backend/batch, or resolve_into vs owned
+#                    # resolve) disagreement.
 #   ./ci.sh check    # static analysis + model checking: lint_gate
 #                    # (workspace invariant linter: panic-free parsers,
 #                    # 0-alloc hot paths, SAFETY-commented unsafe, with
@@ -82,11 +84,12 @@ run_gate() {
 run_fuzz() {
     # The differential fuzzing gate: one mutated corpus through every
     # family (owned vs view vs re-encode for the six parsers; scalar vs
-    # vector vs batched for the crypto substrate), 20k iterations per
+    # vector vs batched for the crypto substrate; resolve_into vs the
+    # owned resolve + encode for the resolve family), 20k iterations per
     # family under a fixed seed, so the campaign is reproducible and
     # every CI run is a fuzzing run. A divergence exits non-zero with a
     # shrunk counterexample and a one-line replay command.
-    echo "==> fuzz_gate: deterministic differential campaign (140k iterations)"
+    echo "==> fuzz_gate: deterministic differential campaign (160k iterations)"
     cargo run --release -q -p doc-fuzz --bin fuzz_gate
 }
 

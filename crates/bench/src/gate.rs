@@ -20,8 +20,8 @@
 //!   loss) is always enforced — the scenario is virtual-time
 //!   deterministic, so the bound is machine-independent. The
 //!   zero-alloc gate — `allocs_per_req < 1` on the 4-worker CoAP
-//!   (sim-path) row — is always enforced: buffer recycling is not a
-//!   machine property. The worker-scaling gate is optional; its
+//!   (sim-path) row and on every doq/doh/dot row — is always
+//!   enforced: buffer recycling is not a machine property. The worker-scaling gate is optional; its
 //!   required 4-vs-1 speedup depends on how many cores the measuring
 //!   machine actually had (recorded in the artifact): a 1-core
 //!   container cannot prove a parallel speedup, only that the pool
@@ -257,8 +257,8 @@ pub fn parse_proxy(doc: &Json) -> Result<(Vec<ProxyRow>, Vec<RecoveryRow>, u32),
 }
 
 /// Allocations-per-request ceiling on the 4-worker CoAP (sim-path)
-/// row: the recycled-buffer pool path must stay below one heap
-/// allocation per request in steady state.
+/// row and on every DoQ/DoH/DoT row: the recycled-buffer pool path
+/// must stay below one heap allocation per request in steady state.
 pub const MAX_ALLOCS_PER_REQ: f64 = 1.0;
 
 /// Validate `BENCH_proxy.json`; with `require_scaling`, also enforce
@@ -268,8 +268,9 @@ pub const MAX_ALLOCS_PER_REQ: f64 = 1.0;
 /// ordering — both adaptive controllers beat the fixed-RTO oracle's
 /// p99 under loss (deterministic virtual time) — and the zero-alloc
 /// gate — `allocs_per_req <` [`MAX_ALLOCS_PER_REQ`] on the 4-worker
-/// CoAP sim-path row (buffer recycling either works or it doesn't).
-/// Returns a human-readable summary on success.
+/// CoAP sim-path row and on every stream-transport row (buffer
+/// recycling and the borrowed-view serve path either work or they
+/// don't). Returns a human-readable summary on success.
 pub fn check_proxy(doc: &Json, require_scaling: bool) -> Result<String, String> {
     let (rows, recovery, cores) = parse_proxy(doc)?;
     let sim_row = rows
@@ -282,6 +283,18 @@ pub fn check_proxy(doc: &Json, require_scaling: bool) -> Result<String, String> 
              (the recycled pool path must not allocate per request)",
             sim_row.allocs_per_req
         ));
+    }
+    for row in rows
+        .iter()
+        .filter(|r| REQUIRED_STREAM_TRANSPORTS.contains(&r.transport.as_str()))
+    {
+        if row.allocs_per_req >= MAX_ALLOCS_PER_REQ {
+            return Err(format!(
+                "zero-alloc gate failed: {} {}-worker allocs_per_req {} >= {MAX_ALLOCS_PER_REQ} \
+                 (the stream serve path must not allocate per request)",
+                row.transport, row.workers, row.allocs_per_req
+            ));
+        }
     }
     let p99 = |c: &str| {
         recovery
@@ -308,10 +321,15 @@ pub fn check_proxy(doc: &Json, require_scaling: bool) -> Result<String, String> 
             .expect("presence checked in parse_proxy")
     };
     let ratio = rate(4) / rate(1);
+    let stream_allocs = rows
+        .iter()
+        .filter(|r| r.transport != "coap")
+        .map(|r| r.allocs_per_req)
+        .fold(0.0, f64::max);
     let mut summary = format!(
         "proxy: {} rows, {} recovery rows (fixed_rto p99 {fixed_p99}ms, cubic {}ms, \
-         bbr_lite {}ms), coap@4w {:.2} allocs/req, machine parallelism {cores}, \
-         4w/1w throughput ratio {ratio:.2}",
+         bbr_lite {}ms), coap@4w {:.2} allocs/req, stream rows <= {stream_allocs:.2} \
+         allocs/req, machine parallelism {cores}, 4w/1w throughput ratio {ratio:.2}",
         rows.len(),
         recovery.len(),
         p99("cubic"),
@@ -766,12 +784,26 @@ mod tests {
         assert!(!leaky.contains(coap4));
         let err = check_proxy(&parse(&leaky).unwrap(), false).unwrap_err();
         assert!(err.contains("zero-alloc gate"), "{err}");
-        // Stream rows may allocate; only the coap sim path is gated.
-        let stream_leaky = proxy_doc(4, 100_000.0, 250_000.0).replace(
-            r#""transport": "doq", "workers": 4, "req_per_s": 250000, "p50_us": 10.0, "p99_us": 50.0, "allocs_per_req": 0.5"#,
-            r#""transport": "doq", "workers": 4, "req_per_s": 250000, "p50_us": 10.0, "p99_us": 50.0, "allocs_per_req": 12.0"#,
-        );
-        check_proxy(&parse(&stream_leaky).unwrap(), false)
-            .expect("stream-row allocations are not gated");
+    }
+
+    /// Every stream-transport row is held to the same zero-alloc bound:
+    /// a doq row at the old owned-path cost (26 allocs/req) fails, and
+    /// so does a doh or dot row just at the bound.
+    #[test]
+    fn proxy_gate_enforces_zero_alloc_on_stream_rows() {
+        let row = |t: &str, allocs: &str| {
+            format!(
+                r#""transport": "{t}", "workers": 4, "req_per_s": 250000, "p50_us": 10.0, "p99_us": 50.0, "allocs_per_req": {allocs}"#
+            )
+        };
+        let clean = proxy_doc(4, 100_000.0, 250_000.0);
+        check_proxy(&parse(&clean).unwrap(), false).expect("clean artifact passes");
+        for (t, allocs) in [("doq", "26.15"), ("doh", "1.0"), ("dot", "1.2")] {
+            let leaky = clean.replace(&row(t, "0.5"), &row(t, allocs));
+            assert_ne!(leaky, clean, "the replacement must hit the {t} row");
+            let err = check_proxy(&parse(&leaky).unwrap(), false).unwrap_err();
+            assert!(err.contains("zero-alloc gate"), "{err}");
+            assert!(err.contains(t), "{err}");
+        }
     }
 }

@@ -30,6 +30,7 @@
 
 use crate::cache::{CacheKey, CacheStats, Lookup, ResponseCache};
 use crate::msg::CoapMessage;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 // `doc_check::sync::Mutex` is a passthrough to `std::sync::Mutex`
@@ -159,7 +160,7 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default + Clone> ShardedCache<K, V, S> {
         self.shards.len()
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V, S>> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<HashMap<K, V, S>> {
         let h = self.build.hash_one(key);
         &self.shards[shard_index(h, self.mask)]
     }
@@ -185,7 +186,16 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default + Clone> ShardedCache<K, V, S> {
     /// Run `f` with the locked shard map that owns `key` — the escape
     /// hatch for read-modify-write sequences (entry API, conditional
     /// removal) that must be atomic under one lock.
-    pub fn with_shard_mut<R>(&self, key: &K, f: impl FnOnce(&mut HashMap<K, V, S>) -> R) -> R {
+    ///
+    /// `key` may be any borrowed form of `K` (e.g. `&[u8]` for a
+    /// `Vec<u8>` key), so a lookup can probe with a stack-built key.
+    /// `Borrow` requires the borrowed form to hash like the owned one,
+    /// so both pick the same shard.
+    pub fn with_shard_mut<Q, R>(&self, key: &Q, f: impl FnOnce(&mut HashMap<K, V, S>) -> R) -> R
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         f(&mut self.shard(key).lock().unwrap())
     }
 
@@ -387,6 +397,20 @@ mod tests {
         assert_eq!(c.remove(&"a".into()), Some(2));
         c.clear();
         assert!(c.is_empty());
+    }
+
+    /// A `Vec<u8>`-keyed cache probed by `&[u8]` must land on the shard
+    /// the owned key was stored in, or borrowed lookups would miss.
+    #[test]
+    fn borrowed_slice_key_picks_owned_key_shard() {
+        let c: ShardedCache<Vec<u8>, u32> = ShardedCache::new(8);
+        for i in 0..64u32 {
+            let key: Vec<u8> = format!("name-{i}.example.org").into_bytes();
+            assert!(std::ptr::eq(c.shard(&key), c.shard(key.as_slice())));
+            c.insert(key.clone(), i);
+            let got = c.with_shard_mut(key.as_slice(), |m| m.get(key.as_slice()).copied());
+            assert_eq!(got, Some(i));
+        }
     }
 
     #[test]

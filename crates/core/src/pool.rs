@@ -5,9 +5,12 @@
 //! is sans-IO, so scaling across cores is purely a front-end concern:
 //! workers pull raw datagrams off the ring and run the *existing*
 //! borrowed-view hot path — [`CoapProxy::serve_wire`] for the proxy
-//! leg and [`DocServer::handle_request_wire`] for the origin leg —
-//! against state that is lock-striped per shard ([`doc_coap::shard`]).
-//! Nothing in the protocol logic knows it is being run concurrently.
+//! leg and [`DocServer::handle_request_wire`] for the origin leg, or,
+//! in the DoQ/DoH/DoT [`ServeMode`]s, an unframe → [`MessageView`] →
+//! [`MockUpstream::resolve_into`] → frame pass that writes the reply
+//! straight into the worker's slab — against state that is
+//! lock-striped per shard ([`doc_coap::shard`]). Nothing in the
+//! protocol logic knows it is being run concurrently.
 //!
 //! * [`SpmcRing`] — a bounded single-producer/multi-consumer ring of
 //!   fixed power-of-two capacity, the pool's shared **injector**. The
@@ -26,10 +29,14 @@
 //! (`doc-bench`) feeds it from a replayed query mix, and the
 //! [`crate::io`] providers feed it from `doc-netsim` drains or real
 //! UDP sockets through the identical worker code.
+//!
+//! [`MockUpstream::resolve_into`]: crate::server::MockUpstream::resolve_into
 
 use crate::proxy::{CoapProxy, ProxyScratch, WireAction};
 use crate::server::DocServer;
 use crate::transport::TransportKind;
+use doc_dns::MessageView;
+use doc_quic::doq;
 // The sync primitives come from `doc-check`: outside a model execution
 // they are passthroughs to `std::sync`, inside one every operation is
 // a scheduling point — so `check_gate` explores the interleavings of
@@ -41,11 +48,13 @@ use doc_check::sync::{Arc, Condvar, Mutex};
 ///
 /// The CoAP mode runs the full client → proxy → origin exchange (the
 /// paper's DoC deployment). The stream modes serve the DoQ/DoH/DoT
-/// application layer — parse the framed DNS message, resolve it
-/// against the origin's upstream, frame the response — which is the
-/// per-request hot path those transports add on top of QUIC-lite
+/// application layer — unframe the DNS message in place, resolve the
+/// borrowed [`MessageView`] against the origin's upstream straight
+/// into wire bytes, frame the response into the reply slab — which is
+/// the per-request hot path those transports add on top of QUIC-lite
 /// (connection crypto is per-session, not per-request, and is measured
-/// by the `doc-quic` crate itself).
+/// by the `doc-quic` crate itself). Like the CoAP mode, it allocates
+/// nothing per request once the worker's buffers are warm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
     /// CoAP proxy + origin view path (default).
@@ -412,11 +421,7 @@ impl ProxyPool {
     ) -> bool {
         out.clear();
         if self.mode != ServeMode::Coap {
-            let Some(wire) = self.serve_stream(d) else {
-                return false;
-            };
-            out.extend_from_slice(&wire);
-            return true;
+            return self.serve_stream(d, upstream_buf, out).is_some();
         }
         match self
             .proxy
@@ -452,24 +457,38 @@ impl ProxyPool {
         }
     }
 
-    /// Serve one framed DNS request in a stream mode: unframe, resolve
-    /// against the origin's upstream, re-frame. Malformed framing (or
-    /// a non-DNS body) drops the datagram, like the CoAP path.
-    fn serve_stream(&self, d: &Datagram) -> Option<Vec<u8>> {
-        let dns = match self.mode {
-            ServeMode::Doq | ServeMode::Dot => doc_quic::doq::decode_doq(&d.wire).ok()?,
-            ServeMode::DohLite => doc_quic::doq::decode_doh(&d.wire).ok()?,
-            ServeMode::Coap => unreachable!("handled by serve"),
+    /// Serve one framed DNS request in a stream mode, on borrowed views
+    /// from unframe to framed reply: unframe the datagram in place,
+    /// parse the DNS query as a [`MessageView`], resolve it against the
+    /// origin's upstream straight into the `dns` scratch
+    /// ([`MockUpstream::resolve_into`]), and frame that into `out`.
+    /// With warm buffers nothing is allocated. Malformed framing, a
+    /// non-DNS body, or a reply too large to frame drops the datagram
+    /// (`None`), like the CoAP path.
+    ///
+    /// [`MockUpstream::resolve_into`]: crate::server::MockUpstream::resolve_into
+    fn serve_stream(&self, d: &Datagram, dns: &mut Vec<u8>, out: &mut Vec<u8>) -> Option<()> {
+        let body = match self.mode {
+            ServeMode::Doq | ServeMode::Dot => doq::decode_doq(&d.wire),
+            ServeMode::DohLite => doq::decode_doh(&d.wire),
+            ServeMode::Coap => unreachable!("handled by serve_into"),
         };
-        let query = doc_dns::Message::decode(dns).ok()?;
-        let resp = self.server.upstream.resolve(&query, d.at.as_millis());
+        let query = MessageView::parse(body.ok()?).ok()?;
+        self.server
+            .upstream
+            .resolve_into(&query, d.at.as_millis(), dns);
+        // Every stream transport carries a DNS message behind a 16-bit
+        // length (RFC 1035 §4.2.2), so a larger reply cannot go out.
+        if dns.len() > usize::from(u16::MAX) {
+            return None;
+        }
+        match self.mode {
+            ServeMode::Doq | ServeMode::Dot => doq::encode_doq_into(dns, out).ok()?,
+            ServeMode::DohLite => doq::encode_doh_response_into(dns, out),
+            ServeMode::Coap => unreachable!("handled by serve_into"),
+        }
         self.server.count_raw_dns_response();
-        let bytes = resp.encode();
-        Some(match self.mode {
-            ServeMode::Doq | ServeMode::Dot => doc_quic::doq::encode_doq(&bytes),
-            ServeMode::DohLite => doc_quic::doq::encode_doh_response(&bytes),
-            ServeMode::Coap => unreachable!("handled by serve"),
-        })
+        Some(())
     }
 
     /// Fan `datagrams` over the worker threads through a bounded
@@ -753,24 +772,49 @@ mod tests {
         assert!(p.cache_hits >= total as u32 - 12, "hits {}", p.cache_hits);
     }
 
+    /// A stream-mode pool over one upstream, plus a twin upstream with
+    /// the same seed and zone for computing expected replies.
+    fn stream_pool(mode: ServeMode, zone: &[(&str, u16)]) -> (ProxyPool, MockUpstream) {
+        let mk = || {
+            let up = MockUpstream::new(7, 3600, 3600);
+            for &(name, n) in zone {
+                up.add_aaaa(Name::parse(name).unwrap(), n);
+            }
+            up
+        };
+        let pool = ProxyPool::with_mode(
+            2,
+            Arc::new(CoapProxy::with_shards(64, 4)),
+            Arc::new(DocServer::new(CachePolicy::EolTtls, mk())),
+            mode,
+        );
+        (pool, mk())
+    }
+
+    fn frame_request(mode: ServeMode, dns: &[u8]) -> Vec<u8> {
+        match mode {
+            ServeMode::DohLite => doc_quic::doq::encode_doh_request(dns),
+            _ => doc_quic::doq::encode_doq(dns),
+        }
+    }
+
     #[test]
     fn stream_modes_serve_framed_dns() {
         use doc_quic::doq;
         for mode in [ServeMode::Doq, ServeMode::DohLite, ServeMode::Dot] {
-            let up = MockUpstream::new(7, 3600, 3600);
-            up.add_aaaa(Name::parse("a.example.org").unwrap(), 1);
-            let pool = ProxyPool::with_mode(
-                2,
-                Arc::new(CoapProxy::with_shards(64, 4)),
-                Arc::new(DocServer::new(CachePolicy::EolTtls, up)),
-                mode,
-            );
+            let (pool, reference) = stream_pool(mode, &[("a.example.org", 1)]);
             assert_eq!(pool.mode(), mode);
-            let mut q = Message::query(9, Name::parse("a.example.org").unwrap(), RecordType::Aaaa);
-            q.header.rd = true;
-            let framed = match mode {
-                ServeMode::DohLite => doq::encode_doh_request(&q.encode()),
-                _ => doq::encode_doq(&q.encode()),
+            let query = |name: &str| {
+                let mut q = Message::query(9, Name::parse(name).unwrap(), RecordType::Aaaa);
+                q.header.rd = true;
+                q.encode()
+            };
+            let hit = query("a.example.org");
+            let nxdomain = query("missing.example.org");
+            let wire_for = |seq: u64| match seq {
+                13 => vec![0xFF; 3], // malformed framing is dropped
+                _ if seq % 7 == 3 => frame_request(mode, &nxdomain),
+                _ => frame_request(mode, &hit),
             };
             let replies = Mutex::new(Vec::new());
             let stats = pool.run(
@@ -779,30 +823,82 @@ mod tests {
                     peer: 0,
                     seq,
                     at: doc_time::Instant::from_millis(1),
-                    wire: if seq == 13 {
-                        vec![0xFF; 3] // malformed framing is dropped
-                    } else {
-                        framed.clone()
-                    },
+                    wire: wire_for(seq),
                 }),
                 &|r| replies.lock().unwrap().push(r.clone()),
             );
             assert_eq!(stats.processed, 50, "{mode:?}");
             assert_eq!(stats.replies, 49, "{mode:?}");
             assert_eq!(stats.errors, 1, "{mode:?}");
+            // Every reply is byte-equal to the owned composition: decode
+            // the query into a `Message`, `resolve`, `encode`, frame.
+            // The TTL is fixed and every request arrives at t=1 ms, so
+            // the twin upstream's answers do not depend on arrival order.
+            let expected = |seq: u64| {
+                let framed = wire_for(seq);
+                let dns = match mode {
+                    ServeMode::DohLite => doq::decode_doh(&framed).unwrap(),
+                    _ => doq::decode_doq(&framed).unwrap(),
+                };
+                let resp = reference
+                    .resolve(&Message::decode(dns).unwrap(), 1)
+                    .encode();
+                match mode {
+                    ServeMode::DohLite => doq::encode_doh_response(&resp),
+                    _ => doq::encode_doq(&resp),
+                }
+            };
             let replies = replies.lock().unwrap();
-            let wire = replies
-                .iter()
-                .find(|r| r.wire.is_some())
-                .and_then(|r| r.wire.clone())
-                .expect("a reply");
+            assert_eq!(replies.len(), 50, "{mode:?}");
+            for r in replies.iter() {
+                match r.seq {
+                    13 => assert_eq!(r.wire, None, "{mode:?}"),
+                    seq => assert_eq!(r.wire, Some(expected(seq)), "{mode:?} seq {seq}"),
+                }
+            }
+            let nx = replies.iter().find(|r| r.seq == 3).unwrap();
             let dns = match mode {
-                ServeMode::DohLite => doq::decode_doh(&wire).unwrap(),
-                _ => doq::decode_doq(&wire).unwrap(),
+                ServeMode::DohLite => doq::decode_doh(nx.wire.as_ref().unwrap()).unwrap(),
+                _ => doq::decode_doq(nx.wire.as_ref().unwrap()).unwrap(),
             };
             let resp = Message::decode(dns).unwrap();
             assert_eq!(resp.header.id, 9, "{mode:?}: response echoes the query ID");
-            assert_eq!(resp.answers.len(), 1, "{mode:?}");
+            assert_eq!(resp.header.rcode, doc_dns::Rcode::NxDomain, "{mode:?}");
+        }
+    }
+
+    /// A DNS reply over 65535 bytes cannot be framed on any stream
+    /// transport: it is dropped and counted as an error, and the pool
+    /// keeps serving (it used to panic a worker and take down the run).
+    #[test]
+    fn stream_modes_drop_oversized_replies() {
+        for mode in [ServeMode::Doq, ServeMode::DohLite, ServeMode::Dot] {
+            // 2400 AAAA records: 2400 × 28 answer bytes > 65535.
+            let (pool, _) = stream_pool(mode, &[("big.example.org", 2400), ("a.example.org", 1)]);
+            let query = |name: &str| {
+                Message::query(1, Name::parse(name).unwrap(), RecordType::Aaaa).encode()
+            };
+            let wires = [
+                frame_request(mode, &query("big.example.org")),
+                frame_request(mode, &query("a.example.org")),
+            ];
+            let replies = Mutex::new(Vec::new());
+            let stats = pool.run(
+                4,
+                wires.iter().enumerate().map(|(seq, wire)| Datagram {
+                    peer: 0,
+                    seq: seq as u64,
+                    at: doc_time::Instant::from_millis(1),
+                    wire: wire.clone(),
+                }),
+                &|r| replies.lock().unwrap().push((r.seq, r.wire.is_some())),
+            );
+            assert_eq!(stats.processed, 2, "{mode:?}");
+            assert_eq!(stats.errors, 1, "{mode:?}");
+            assert_eq!(stats.replies, 1, "{mode:?}");
+            let mut replies = replies.lock().unwrap().clone();
+            replies.sort_unstable();
+            assert_eq!(replies, vec![(0, false), (1, true)], "{mode:?}");
         }
     }
 

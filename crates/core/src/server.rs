@@ -30,8 +30,9 @@ use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_coap::shard::ShardedCache;
 use doc_coap::view::CoapView;
 use doc_coap::CoapError;
+use doc_dns::name::{encode_labels_compressed, CompressionMap, MAX_LABELS, MAX_NAME_LEN};
 use doc_dns::view::MessageView;
-use doc_dns::{Message, Name, Rcode, Record, RecordClass, RecordData, RecordType};
+use doc_dns::{Header, Message, Name, Rcode, Record, RecordClass, RecordData, RecordType};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -50,11 +51,93 @@ fn xorshift64(mut x: u64) -> u64 {
     x
 }
 
+/// Longest zone key: a maximal uncompressed wire name plus the qtype.
+const ZONE_KEY_CAP: usize = MAX_NAME_LEN + 2;
+
+/// A zone key built on the stack: the lowercase uncompressed wire name
+/// followed by the 2-byte big-endian qtype. The zone stores the same
+/// bytes as owned `Vec<u8>` keys, so a lookup from a borrowed
+/// [`doc_dns::NameRef`] probes the zone by `&[u8]` without allocating.
+struct ZoneKey {
+    buf: [u8; ZONE_KEY_CAP],
+    len: usize,
+}
+
+impl ZoneKey {
+    /// Lowercase `labels` into a key for `qtype`. `None` if they do not
+    /// fit a DNS name, which a parsed [`Name`] or view never does.
+    fn new<'a>(labels: impl IntoIterator<Item = &'a [u8]>, qtype: RecordType) -> Option<Self> {
+        let mut key = ZoneKey {
+            buf: [0; ZONE_KEY_CAP],
+            len: 0,
+        };
+        for label in labels {
+            key.push(label.len() as u8)?;
+            for &b in label {
+                key.push(b.to_ascii_lowercase())?;
+            }
+        }
+        key.push(0)?;
+        for b in qtype.to_u16().to_be_bytes() {
+            key.push(b)?;
+        }
+        Some(key)
+    }
+
+    fn push(&mut self, b: u8) -> Option<()> {
+        *self.buf.get_mut(self.len)? = b;
+        self.len += 1;
+        Some(())
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    /// Split the key's wire name into `labels`; returns the label count.
+    fn labels<'a>(&'a self, labels: &mut [&'a [u8]; MAX_LABELS]) -> usize {
+        let mut n = 0;
+        let mut at = 0;
+        while let Some(&len) = self.buf.get(at).filter(|&&len| len != 0) {
+            let (Some(slot), Some(label)) = (
+                labels.get_mut(n),
+                self.buf.get(at + 1..at + 1 + len as usize),
+            ) else {
+                break;
+            };
+            *slot = label;
+            n += 1;
+            at += 1 + len as usize;
+        }
+        n
+    }
+}
+
+/// Append the question section of `query`, lowercased and compressed
+/// exactly as [`Message::encode`] writes the questions of the owned
+/// query. Answers never register suffixes (their owner is a pointer to
+/// the first question, their RDATA is uncompressed), so the
+/// compression table lives only for this section.
+fn encode_questions(query: &MessageView<'_>, out: &mut Vec<u8>) {
+    let mut table = CompressionMap::new();
+    for q in query.questions() {
+        if let Some(key) = ZoneKey::new(q.qname.labels(), q.qtype) {
+            let mut labels = [&[][..]; MAX_LABELS];
+            let n = key.labels(&mut labels);
+            encode_labels_compressed(&labels[..n], out, &mut table);
+        }
+        out.extend_from_slice(&q.qtype.to_u16().to_be_bytes());
+        out.extend_from_slice(&q.qclass.to_u16().to_be_bytes());
+    }
+}
+
 /// A programmable mock recursive resolver.
 pub struct MockUpstream {
-    /// The resource table: zone data + TTL state, lock-striped so
-    /// concurrent workers resolving different names never contend.
-    zone: ShardedCache<(Name, RecordType), Rrset>,
+    /// The resource table: zone data + TTL state, keyed by the
+    /// lowercase uncompressed wire name plus the 2-byte qtype, and
+    /// lock-striped so concurrent workers resolving different names
+    /// never contend.
+    zone: ShardedCache<Vec<u8>, Rrset>,
     ttl_min: u32,
     ttl_max: u32,
     rng: AtomicU64,
@@ -113,15 +196,20 @@ impl MockUpstream {
     /// matching the historical behaviour where record data and TTL
     /// state lived in separate maps.
     pub fn add_rrset(&self, name: Name, rtype: RecordType, data: Vec<RecordData>) {
-        let key = (name, rtype);
+        let key = ZoneKey::new(name.labels().iter().map(Vec::as_slice), rtype)
+            .expect("a Name always fits a zone key");
+        let key = key.as_bytes();
         self.zone
-            .with_shard_mut(&key, |shard| match shard.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().data = data,
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(Rrset {
-                        data,
-                        expires_at_ms: 0,
-                    });
+            .with_shard_mut(key, |shard| match shard.get_mut(key) {
+                Some(rrset) => rrset.data = data,
+                None => {
+                    shard.insert(
+                        key.to_vec(),
+                        Rrset {
+                            data,
+                            expires_at_ms: 0,
+                        },
+                    );
                 }
             });
     }
@@ -142,18 +230,21 @@ impl MockUpstream {
         self.add_rrset(name, RecordType::A, data);
     }
 
-    /// Resolve a DNS query at virtual time `now_ms`. Returns a response
-    /// with *remaining* TTLs (the decrementing behaviour of a real
-    /// recursive cache).
-    pub fn resolve(&self, query: &Message, now_ms: u64) -> Message {
-        let Some(q) = query.questions.first() else {
-            return Message::response(query, Rcode::FormErr, vec![]);
-        };
-        let key = (q.qname.clone(), q.qtype);
-        // One shard lock covers the whole read-check-refresh sequence,
-        // so two workers cannot both decide to refresh the same RRset.
-        let resolved = self.zone.with_shard_mut(&key, |shard| {
-            let rrset = shard.get_mut(&key)?;
+    /// Look up the RRset under `key` (a [`ZoneKey`]'s bytes) and run
+    /// the TTL state machine: a live TTL window is a mock-cache hit, an
+    /// expired one is an NS query that draws a fresh TTL. One shard
+    /// lock covers the whole read-check-refresh sequence *and* `emit`,
+    /// so two workers cannot both decide to refresh the same RRset.
+    /// `emit` gets the records and their remaining TTL in seconds;
+    /// `None` means the name/type is not in the zone (NXDOMAIN).
+    fn lookup<R>(
+        &self,
+        key: &[u8],
+        now_ms: u64,
+        emit: impl FnOnce(&[RecordData], u32) -> R,
+    ) -> Option<R> {
+        self.zone.with_shard_mut(key, |shard| {
+            let rrset = shard.get_mut(key)?;
             let remaining_ms = if rrset.expires_at_ms > now_ms {
                 bump(&self.cache_hits);
                 rrset.expires_at_ms - now_ms
@@ -169,23 +260,74 @@ impl MockUpstream {
                 rrset.expires_at_ms = now_ms + ttl_s * 1000;
                 ttl_s * 1000
             };
-            Some((rrset.data.clone(), remaining_ms))
-        });
-        let Some((data, remaining_ms)) = resolved else {
-            return Message::response(query, Rcode::NxDomain, vec![]);
+            Some(emit(&rrset.data, remaining_ms.div_ceil(1000) as u32))
+        })
+    }
+
+    /// Resolve a DNS query at virtual time `now_ms`. Returns a response
+    /// with *remaining* TTLs (the decrementing behaviour of a real
+    /// recursive cache).
+    pub fn resolve(&self, query: &Message, now_ms: u64) -> Message {
+        let Some(q) = query.questions.first() else {
+            return Message::response(query, Rcode::FormErr, vec![]);
         };
-        let ttl = remaining_ms.div_ceil(1000) as u32;
-        let answers: Vec<Record> = data
-            .into_iter()
-            .map(|d| Record {
-                name: q.qname.clone(),
-                rtype: q.qtype,
-                rclass: RecordClass::In,
-                ttl,
-                data: d,
+        let answers =
+            ZoneKey::new(q.qname.labels().iter().map(Vec::as_slice), q.qtype).and_then(|key| {
+                self.lookup(key.as_bytes(), now_ms, |data, ttl| {
+                    data.iter()
+                        .map(|d| Record {
+                            name: q.qname.clone(),
+                            rtype: q.qtype,
+                            rclass: RecordClass::In,
+                            ttl,
+                            data: d.clone(),
+                        })
+                        .collect()
+                })
+            });
+        match answers {
+            Some(answers) => Message::response(query, Rcode::NoError, answers),
+            None => Message::response(query, Rcode::NxDomain, vec![]),
+        }
+    }
+
+    /// [`MockUpstream::resolve`] on a borrowed query, writing the wire
+    /// response straight into `out` (cleared first): the header, the
+    /// question section (lowercased and compressed), and one answer per
+    /// record whose owner is the pointer `C0 0C` to the first question.
+    /// The bytes equal `resolve(&query.to_owned(), now_ms).encode()`,
+    /// and with a reused `out` nothing is allocated: the zone key and
+    /// label slices live on the stack.
+    pub fn resolve_into(&self, query: &MessageView<'_>, now_ms: u64, out: &mut Vec<u8>) {
+        out.clear();
+        let header = query.header();
+        let Some(q) = query.question() else {
+            Header::response_to(&header, Rcode::FormErr).encode_into([0; 4], out);
+            return;
+        };
+        let qdcount = query.question_count() as u16;
+        let answered = ZoneKey::new(q.qname.labels(), q.qtype).and_then(|key| {
+            self.lookup(key.as_bytes(), now_ms, |data, ttl| {
+                Header::response_to(&header, Rcode::NoError)
+                    .encode_into([qdcount, data.len() as u16, 0, 0], out);
+                encode_questions(query, out);
+                // The first question's name starts right after the
+                // 12-byte header; the root name is its own single byte.
+                let owner: &[u8] = if key.as_bytes()[0] == 0 {
+                    &[0]
+                } else {
+                    &[0xC0, 0x0C]
+                };
+                for d in data {
+                    out.extend_from_slice(owner);
+                    d.encode_after_owner(q.qtype, RecordClass::In, ttl, out);
+                }
             })
-            .collect();
-        Message::response(query, Rcode::NoError, answers)
+        });
+        if answered.is_none() {
+            Header::response_to(&header, Rcode::NxDomain).encode_into([qdcount, 0, 0, 0], out);
+            encode_questions(query, out);
+        }
     }
 }
 
@@ -526,6 +668,82 @@ mod tests {
             vec![mid as u8],
         )
         .unwrap()
+    }
+
+    /// A raw query wire: `flags`, then uncompressed questions whose
+    /// labels keep the case they are given in.
+    fn raw_query(flags: u16, questions: &[(&str, u16, u16)]) -> Vec<u8> {
+        let mut w = vec![0x12, 0x34];
+        w.extend_from_slice(&flags.to_be_bytes());
+        w.extend_from_slice(&(questions.len() as u16).to_be_bytes());
+        w.extend_from_slice(&[0; 6]);
+        for &(name, qtype, qclass) in questions {
+            for label in name.split('.').filter(|l| !l.is_empty()) {
+                w.push(label.len() as u8);
+                w.extend_from_slice(label.as_bytes());
+            }
+            w.push(0);
+            w.extend_from_slice(&qtype.to_be_bytes());
+            w.extend_from_slice(&qclass.to_be_bytes());
+        }
+        w
+    }
+
+    /// `resolve_into` on a view writes exactly the bytes of the owned
+    /// `resolve(..).encode()`, on twin upstreams driven in lock-step
+    /// across TTL expiries: mixed case, 0/1/2/3 questions (one
+    /// compressed), the root name, unknown types/classes/opcodes,
+    /// NXDOMAIN and name-bearing RDATA.
+    #[test]
+    fn resolve_into_matches_owned_resolve_encode() {
+        let mk = || {
+            let up = MockUpstream::new(5, 1, 3);
+            up.add_aaaa(name(), 3);
+            up.add_a(Name::parse("b.example.org").unwrap(), 2);
+            up.add_rrset(
+                Name::root(),
+                RecordType::Ns,
+                vec![RecordData::Ns(Name::parse("a.root-servers.net").unwrap())],
+            );
+            up.add_rrset(
+                Name::parse("x.example.org").unwrap(),
+                RecordType::Other(999),
+                vec![RecordData::Raw(vec![1, 2, 3])],
+            );
+            up
+        };
+        let (ours, theirs) = (mk(), mk());
+        let mut compressed = raw_query(0x0100, &[("b.example.org", 1, 1)]);
+        compressed[5] = 2;
+        compressed.extend_from_slice(&[0xC0, 0x0C, 0, 28, 0, 1]);
+        let queries = [
+            raw_query(0x0100, &[("Name-01234.C.Example.ORG", 28, 1)]),
+            raw_query(0x0000, &[]),
+            raw_query(0x0100, &[("", 2, 1)]),
+            raw_query(0x0100, &[("missing.example.org", 28, 1)]),
+            raw_query(0x2900, &[("X.example.org", 999, 3)]),
+            raw_query(
+                0x0100,
+                &[
+                    ("name-01234.c.example.org", 28, 1),
+                    ("B.example.org", 1, 1),
+                    ("name-01234.c.EXAMPLE.org", 28, 1),
+                ],
+            ),
+            compressed,
+        ];
+        let mut out = Vec::new();
+        for now_ms in [0, 400, 1_200, 2_500, 2_600, 7_000] {
+            for wire in &queries {
+                let view = MessageView::parse(wire).unwrap();
+                ours.resolve_into(&view, now_ms, &mut out);
+                let expected = theirs.resolve(&view.to_owned(), now_ms).encode();
+                assert_eq!(out, expected, "t={now_ms} query {wire:02x?}");
+            }
+        }
+        assert_eq!(ours.ns_queries(), theirs.ns_queries());
+        assert!(ours.ns_queries() > 5, "TTLs expired across calls");
+        assert_eq!(ours.cache_hits(), theirs.cache_hits());
     }
 
     #[test]

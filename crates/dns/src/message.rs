@@ -110,6 +110,36 @@ impl Header {
         }
     }
 
+    /// Append the 12-byte wire header: id, flag word, then the
+    /// question/answer/authority/additional `counts`. Lets a caller
+    /// that writes the sections itself (no owned [`Message`]) emit the
+    /// exact header [`Message::encode_into`] would.
+    pub fn encode_into(&self, counts: [u16; 4], out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.id.to_be_bytes());
+        let mut flags = 0u16;
+        if self.qr {
+            flags |= 1 << 15;
+        }
+        flags |= (self.opcode.to_u8() as u16) << 11;
+        if self.aa {
+            flags |= 1 << 10;
+        }
+        if self.tc {
+            flags |= 1 << 9;
+        }
+        if self.rd {
+            flags |= 1 << 8;
+        }
+        if self.ra {
+            flags |= 1 << 7;
+        }
+        flags |= self.rcode.to_u8() as u16;
+        out.extend_from_slice(&flags.to_be_bytes());
+        for count in counts {
+            out.extend_from_slice(&count.to_be_bytes());
+        }
+    }
+
     /// A response header answering `query`.
     pub fn response_to(query: &Header, rcode: Rcode) -> Self {
         Header {
@@ -280,30 +310,13 @@ impl Message {
 
     /// The 12-byte header: id, flag word, section counts.
     fn encode_header_into(&self, msg: &mut Vec<u8>) {
-        msg.extend_from_slice(&self.header.id.to_be_bytes());
-        let mut flags = 0u16;
-        if self.header.qr {
-            flags |= 1 << 15;
-        }
-        flags |= (self.header.opcode.to_u8() as u16) << 11;
-        if self.header.aa {
-            flags |= 1 << 10;
-        }
-        if self.header.tc {
-            flags |= 1 << 9;
-        }
-        if self.header.rd {
-            flags |= 1 << 8;
-        }
-        if self.header.ra {
-            flags |= 1 << 7;
-        }
-        flags |= self.header.rcode.to_u8() as u16;
-        msg.extend_from_slice(&flags.to_be_bytes());
-        msg.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        msg.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
-        msg.extend_from_slice(&(self.authority.len() as u16).to_be_bytes());
-        msg.extend_from_slice(&(self.additional.len() as u16).to_be_bytes());
+        let counts = [
+            self.questions.len(),
+            self.answers.len(),
+            self.authority.len(),
+            self.additional.len(),
+        ];
+        self.header.encode_into(counts.map(|n| n as u16), msg);
     }
 
     /// Decode from wire format.

@@ -265,6 +265,28 @@ impl RecordData {
         }
     }
 
+    /// Append everything of a resource record that follows its owner
+    /// name: TYPE, CLASS, TTL, RDLENGTH and this RDATA — the bytes
+    /// [`Record::encode`] writes after the name, for encoders that
+    /// emit the owner name themselves.
+    pub fn encode_after_owner(
+        &self,
+        rtype: RecordType,
+        rclass: RecordClass,
+        ttl: u32,
+        msg: &mut Vec<u8>,
+    ) {
+        msg.extend_from_slice(&rtype.to_u16().to_be_bytes());
+        msg.extend_from_slice(&rclass.to_u16().to_be_bytes());
+        msg.extend_from_slice(&ttl.to_be_bytes());
+        let rdlen_pos = msg.len();
+        msg.extend_from_slice(&[0, 0]);
+        let rdata_start = msg.len();
+        self.encode(msg);
+        let rdlen = (msg.len() - rdata_start) as u16;
+        msg[rdlen_pos..rdlen_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+    }
+
     /// Decode RDATA of `rtype` from `msg[rdata_start..rdata_start+rdlen]`.
     ///
     /// `msg` is the whole message so that compressed names inside legacy
@@ -434,15 +456,8 @@ impl Record {
 
     /// Fixed RR fields + length-prefixed RDATA after the owner name.
     fn encode_after_name(&self, msg: &mut Vec<u8>) {
-        msg.extend_from_slice(&self.rtype.to_u16().to_be_bytes());
-        msg.extend_from_slice(&self.rclass.to_u16().to_be_bytes());
-        msg.extend_from_slice(&self.ttl.to_be_bytes());
-        let rdlen_pos = msg.len();
-        msg.extend_from_slice(&[0, 0]);
-        let rdata_start = msg.len();
-        self.data.encode(msg);
-        let rdlen = (msg.len() - rdata_start) as u16;
-        msg[rdlen_pos..rdlen_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+        self.data
+            .encode_after_owner(self.rtype, self.rclass, self.ttl, msg);
     }
 
     /// Decode one record from `msg` at `*pos`.

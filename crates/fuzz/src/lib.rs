@@ -24,8 +24,10 @@
 //! shrinker ([`proptest::minimize`]).
 //!
 //! The [`target::DifferentialTarget`] trait is the extension point;
-//! [`targets::all`] enumerates the five built-in parser families
-//! (dns, coap, dtls, quic, json). The `fuzz_gate` binary runs a
+//! [`targets::all`] enumerates the eight built-in families: six parser
+//! families (dns, coap, dtls, quic, json, sixlowpan), the crypto
+//! substrate, and `resolve`, which holds the borrowed-view DNS serve
+//! path byte-equal to the owned resolver. The `fuzz_gate` binary runs a
 //! bounded campaign over all of them and is wired into `./ci.sh fuzz`.
 
 pub mod corpus;

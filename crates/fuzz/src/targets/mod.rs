@@ -6,6 +6,7 @@ pub mod dns;
 pub mod dtls;
 pub mod json;
 pub mod quic;
+pub mod resolve;
 pub mod sixlowpan;
 
 use crate::target::DifferentialTarget;
@@ -20,6 +21,7 @@ pub fn all() -> Vec<Box<dyn DifferentialTarget>> {
         Box::new(json::JsonTarget),
         Box::new(sixlowpan::SixlowpanTarget),
         Box::new(crypto::CryptoTarget),
+        Box::new(resolve::ResolveTarget),
     ]
 }
 

@@ -32,14 +32,22 @@ pub const DOH_RESPONSE_HEADERS: &[u8] = b":status 200 content-type application/d
 ///
 /// # Panics
 /// Panics if the message exceeds the 65535-byte field (DNS messages
-/// cannot).
+/// cannot); [`encode_doq_into`] reports that case instead.
 pub fn encode_doq(dns: &[u8]) -> Vec<u8> {
-    // lint:allow(no-panic-in-parsers): encode-side precondition documented above; wire input never reaches this
-    let len = u16::try_from(dns.len()).expect("DNS message fits 16-bit length");
     let mut out = Vec::with_capacity(2 + dns.len());
+    // lint:allow(no-panic-in-parsers): encode-side precondition documented above; wire input never reaches this
+    encode_doq_into(dns, &mut out).expect("DNS message fits 16-bit length");
+    out
+}
+
+/// Append the DoQ framing of `dns` (2-byte BE length prefix, then the
+/// message) to `out`. A message longer than the 65535-byte length
+/// field is [`QuicError::Malformed`] and leaves `out` untouched.
+pub fn encode_doq_into(dns: &[u8], out: &mut Vec<u8>) -> Result<(), QuicError> {
+    let len = u16::try_from(dns.len()).map_err(|_| QuicError::Malformed)?;
     out.extend_from_slice(&len.to_be_bytes());
     out.extend_from_slice(dns);
-    out
+    Ok(())
 }
 
 /// Decode the single DoQ message of a finished stream. Rejects
@@ -59,13 +67,17 @@ pub fn decode_doq(stream: &[u8]) -> Result<&[u8], QuicError> {
 
 fn encode_h3(headers: &[u8], dns: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(headers.len() + dns.len() + 6);
-    varint::encode_into(H3_HEADERS, &mut out);
-    varint::encode_into(headers.len() as u64, &mut out);
-    out.extend_from_slice(headers);
-    varint::encode_into(H3_DATA, &mut out);
-    varint::encode_into(dns.len() as u64, &mut out);
-    out.extend_from_slice(dns);
+    encode_h3_into(headers, dns, &mut out);
     out
+}
+
+fn encode_h3_into(headers: &[u8], dns: &[u8], out: &mut Vec<u8>) {
+    varint::encode_into(H3_HEADERS, out);
+    varint::encode_into(headers.len() as u64, out);
+    out.extend_from_slice(headers);
+    varint::encode_into(H3_DATA, out);
+    varint::encode_into(dns.len() as u64, out);
+    out.extend_from_slice(dns);
 }
 
 /// Frame a DNS query as a DoH-lite request stream.
@@ -76,6 +88,12 @@ pub fn encode_doh_request(dns: &[u8]) -> Vec<u8> {
 /// Frame a DNS response as a DoH-lite response stream.
 pub fn encode_doh_response(dns: &[u8]) -> Vec<u8> {
     encode_h3(DOH_RESPONSE_HEADERS, dns)
+}
+
+/// Append the DoH-lite response framing of `dns` to `out` — the
+/// allocation-free form of [`encode_doh_response`].
+pub fn encode_doh_response_into(dns: &[u8], out: &mut Vec<u8>) {
+    encode_h3_into(DOH_RESPONSE_HEADERS, dns, out);
 }
 
 /// Decode a DoH-lite stream: HEADERS frame then DATA frame, nothing
@@ -166,6 +184,28 @@ mod tests {
         }
         // Empty message is legal framing (2 zero bytes).
         assert_eq!(decode_doq(&encode_doq(&[])).unwrap(), &[] as &[u8]);
+    }
+
+    #[test]
+    fn into_framers_append_and_doq_rejects_oversized() {
+        let dns = vec![0x5A; 300];
+        let mut out = vec![0xEE];
+        encode_doq_into(&dns, &mut out).unwrap();
+        assert_eq!(out[1..], encode_doq(&dns)[..]);
+        let mut out = vec![0xEE];
+        encode_doh_response_into(&dns, &mut out);
+        assert_eq!(out[1..], encode_doh_response(&dns)[..]);
+        // 65535 bytes is the largest frameable message; one more is
+        // rejected without touching the buffer.
+        let mut out = Vec::new();
+        encode_doq_into(&vec![0; 65_535], &mut out).unwrap();
+        assert_eq!(out.len(), 65_537);
+        out.clear();
+        assert_eq!(
+            encode_doq_into(&vec![0; 65_536], &mut out),
+            Err(QuicError::Malformed)
+        );
+        assert!(out.is_empty());
     }
 
     #[test]
