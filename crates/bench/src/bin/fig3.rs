@@ -7,7 +7,7 @@ use doc_coap::msg::{CoapMessage, Code, MsgType};
 use doc_coap::opt::OptionNumber;
 use doc_core::method::{build_request, DocMethod};
 use doc_core::policy::CachePolicy;
-use doc_core::proxy::{CoapProxy, ProxyAction};
+use doc_core::proxy::{CoapProxy, ProxyScratch, WireAction};
 use doc_core::server::{DocServer, MockUpstream};
 use doc_dns::{Message, Name, RecordType};
 
@@ -36,16 +36,21 @@ fn via_proxy(
     log: &mut Vec<String>,
     who: &str,
 ) -> CoapMessage {
-    match proxy.handle_client_request(req, now) {
-        ProxyAction::Respond(resp) => {
+    let mut out = Vec::new();
+    let action = proxy
+        .serve_wire(&req.encode(), now, &mut ProxyScratch::default(), &mut out)
+        .expect("well-formed request");
+    match action {
+        WireAction::Responded => {
+            let resp = CoapMessage::decode(&out).expect("proxy reply decodes");
             log.push(format!(
                 "t={now:>5}ms  {who} <- P   : {} served from CoAP cache (Max-Age={})",
                 code_name(resp.code),
                 resp.max_age()
             ));
-            *resp
+            resp
         }
-        ProxyAction::Forward {
+        WireAction::Forward {
             request,
             exchange_id,
         } => {

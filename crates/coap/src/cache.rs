@@ -110,22 +110,16 @@ fn is_cache_key_option(number: OptionNumber) -> bool {
 }
 
 /// Compute the cache key of a borrowed request view — byte-identical to
-/// [`cache_key`] of the equivalent owned message.
+/// [`cache_key`] of the equivalent owned message — into a
+/// caller-supplied buffer (cleared at entry, capacity preserved).
+/// Combined with [`CacheKey::into_bytes`] this makes per-request key
+/// derivation allocation-free once the buffer is warm — the proxy's hot
+/// path.
 ///
 /// No sort is needed: wire options are already in ascending number
 /// order (deltas are unsigned), and repeatable options keep their wire
 /// order, which is exactly the stable-by-number order the owned path
-/// produces. The only allocation is the key's own buffer.
-pub fn cache_key_view(msg: &CoapView<'_>) -> CacheKey {
-    // lint:allow(no-alloc-in-into): the key's own buffer is this function's output, sized exactly once
-    cache_key_view_reusing(msg, Vec::with_capacity(32 + msg.payload().len()))
-}
-
-/// Like [`cache_key_view`], but the key's bytes are written into a
-/// caller-supplied buffer (cleared at entry, capacity preserved).
-/// Combined with [`CacheKey::into_bytes`] this makes per-request key
-/// derivation allocation-free once the buffer is warm — the pool
-/// workers' hot path.
+/// produces.
 pub fn cache_key_view_reusing(msg: &CoapView<'_>, mut data: Vec<u8>) -> CacheKey {
     data.clear();
     data.push(msg.code.0);
@@ -177,6 +171,18 @@ pub enum Lookup {
     },
     /// Stale entry without an ETag — must be re-fetched in full.
     StaleNoEtag,
+}
+
+/// Result of [`ResponseCache::serve_hit_into`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Probe {
+    /// Fresh entry: the reply was encoded into the caller's buffer.
+    Served,
+    /// Stale entry with an ETag, eligible for revalidation; the ETag
+    /// was written into the caller's buffer.
+    Stale,
+    /// No entry, or a stale one without an ETag: fetch in full.
+    Miss,
 }
 
 /// Cache statistics (the counters behind Fig. 11's cache-hit events).
@@ -256,19 +262,16 @@ impl ResponseCache {
         }
     }
 
-    /// Zero-alloc fresh-hit fast path: if `key` holds a fresh entry,
-    /// encode the client-facing reply straight into `out` (cleared at
-    /// entry) and return `true`, counting a hit. The reply is
-    /// byte-identical to what [`ResponseCache::lookup`]'s `Fresh` arm
-    /// plus the proxy's owned reply construction would produce: the
+    /// The proxy's one cache probe per request: classify `key` and
+    /// count the outcome, like [`ResponseCache::lookup`], but serve a
+    /// fresh hit without cloning the entry. A fresh hit encodes the
+    /// client-facing reply straight into `out` (cleared at entry): the
     /// cached response re-keyed to the client's MID/token, `mtype`
     /// forced to Ack, `Max-Age` rewritten to the remaining freshness —
     /// or a payload-free `2.03 Valid` when `client_etag` matches the
-    /// entry's ETag.
-    ///
-    /// A miss or stale entry returns `false` *without* touching the
-    /// statistics; the caller falls back to `lookup`, which classifies
-    /// and counts the outcome.
+    /// entry's ETag. A stale entry hands back the ETag to revalidate
+    /// with in `out` (so nothing is allocated under the shard lock); a
+    /// miss or a stale entry without an ETag leaves `out` untouched.
     pub fn serve_hit_into(
         &mut self,
         key: &CacheKey,
@@ -277,12 +280,21 @@ impl ResponseCache {
         client_token: &[u8],
         client_etag: Option<&[u8]>,
         out: &mut Vec<u8>,
-    ) -> bool {
+    ) -> Probe {
         let Some(e) = self.entries.get(key) else {
-            return false;
+            self.stats.misses += 1;
+            return Probe::Miss;
         };
         if !e.is_fresh(now) {
-            return false;
+            self.stats.stale += 1;
+            return match e.response.option(OptionNumber::ETAG) {
+                Some(etag) => {
+                    out.clear();
+                    out.extend_from_slice(&etag.value);
+                    Probe::Stale
+                }
+                None => Probe::Miss,
+            };
         }
         self.stats.hits += 1;
         let remaining = e.remaining_s(now);
@@ -313,7 +325,7 @@ impl ResponseCache {
         } else {
             encode_entry_reply_into(&e.response, client_mid, client_token, remaining, out);
         }
-        true
+        Probe::Served
     }
 
     /// Store a (success) response under `key`. Non-success responses
@@ -549,7 +561,11 @@ mod tests {
         for msg in [fetch_req(b"q"), with_extras, get] {
             let wire = msg.encode();
             let view = crate::view::CoapView::parse(&wire).unwrap();
-            assert_eq!(cache_key_view(&view), cache_key(&msg), "{msg:?}");
+            assert_eq!(
+                cache_key_view_reusing(&view, Vec::new()),
+                cache_key(&msg),
+                "{msg:?}"
+            );
         }
     }
 
@@ -787,7 +803,7 @@ mod tests {
                 let key = cache_key(&fetch_req(b"q"));
                 cache.insert(key.clone(), resp.clone(), 0);
                 let mut wire = vec![0xAA; 7]; // stale garbage must be cleared
-                let hit = cache.serve_hit_into(
+                let probe = cache.serve_hit_into(
                     &key,
                     now,
                     0x1234,
@@ -795,7 +811,7 @@ mod tests {
                     client_etag.as_deref(),
                     &mut wire,
                 );
-                assert!(hit, "case {i} now {now}");
+                assert_eq!(probe, Probe::Served, "case {i} now {now}");
                 // Owned reference: lookup's Fresh arm + the proxy's
                 // reply construction.
                 let cached = match cache.lookup(&key, now) {
@@ -823,21 +839,41 @@ mod tests {
         }
     }
 
-    /// Miss and stale outcomes leave the statistics untouched so the
-    /// fallback `lookup` counts them exactly once.
+    /// Miss and stale outcomes are classified and counted once, like
+    /// `lookup`; only a stale entry's ETag is written to the buffer.
     #[test]
-    fn serve_hit_into_declines_miss_and_stale_without_counting() {
+    fn serve_hit_into_counts_miss_and_stale_once() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        let mut out = Vec::new();
-        assert!(!cache.serve_hit_into(&key, 0, 1, &[1], None, &mut out));
+        let bare = cache_key(&fetch_req(b"no-etag"));
+        let mut out = vec![0xAA];
+        assert_eq!(
+            cache.serve_hit_into(&key, 0, 1, &[1], None, &mut out),
+            Probe::Miss
+        );
         cache.insert(key.clone(), response(5, Some(&[0xE1]), b"data"), 0);
-        assert!(!cache.serve_hit_into(&key, 6_000, 1, &[1], None, &mut out));
-        assert_eq!(cache.stats(), CacheStats::default());
+        cache.insert(bare.clone(), response(5, None, b"data"), 0);
+        assert_eq!(out, vec![0xAA]);
+        assert_eq!(
+            cache.serve_hit_into(&key, 6_000, 1, &[1], None, &mut out),
+            Probe::Stale
+        );
+        assert_eq!(out, vec![0xE1]);
+        assert_eq!(
+            cache.serve_hit_into(&bare, 6_000, 1, &[1], None, &mut out),
+            Probe::Miss
+        );
+        assert_eq!(out, vec![0xE1]);
+        let expect = CacheStats {
+            misses: 1,
+            stale: 2,
+            ..CacheStats::default()
+        };
+        assert_eq!(cache.stats(), expect);
     }
 
-    /// Key derivation into a recycled buffer matches the allocating
-    /// derivations, and the buffer round-trips through the key.
+    /// Key derivation into a recycled buffer matches the owned
+    /// derivation, and the buffer round-trips through the key.
     #[test]
     fn reused_key_buffer_matches_and_round_trips() {
         let mut buf = Vec::new();
@@ -846,7 +882,6 @@ mod tests {
             let view = crate::view::CoapView::parse(&wire).unwrap();
             let key = cache_key_view_reusing(&view, std::mem::take(&mut buf));
             assert_eq!(key, cache_key(&msg));
-            assert_eq!(key, cache_key_view(&view));
             buf = key.into_bytes();
             assert!(!buf.is_empty());
         }

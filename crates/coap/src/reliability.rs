@@ -179,7 +179,7 @@ impl<A: Copy + Eq> Endpoint<A> {
     pub fn send_request(&mut self, now: u64, to: A, msg: &CoapMessage) -> Vec<Event<A>> {
         debug_assert!(msg.code.is_request());
         self.open_requests.insert(msg.token.clone(), to);
-        self.send_message(now, to, msg, true)
+        self.send_message(now, to, msg, msg.encode(), true)
     }
 
     /// Send a response. Piggybacked ACK responses are not retransmitted
@@ -200,17 +200,18 @@ impl<A: Copy + Eq> Endpoint<A> {
                 entry.response = Some(wire.clone());
             }
         }
-        self.send_message(now, to, msg, false)
+        self.send_message(now, to, msg, wire, false)
     }
 
+    /// Transmit `msg`, already encoded as `wire`.
     fn send_message(
         &mut self,
         now: u64,
         to: A,
         msg: &CoapMessage,
+        wire: Vec<u8>,
         expects_response: bool,
     ) -> Vec<Event<A>> {
-        let wire = msg.encode();
         if msg.mtype == MsgType::Con {
             let spread =
                 self.params.ack_timeout_ms * (self.params.ack_random_factor_permille - 1000) / 1000;

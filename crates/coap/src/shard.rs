@@ -11,7 +11,7 @@
 //! * [`ShardedResponseCache`] — the CoAP response cache sharded the
 //!   same way, with each shard being a full unsharded
 //!   [`ResponseCache`]. Shard selection reuses the FNV-1a hash that
-//!   [`cache_key`]/[`cache_key_view`] already computed while building
+//!   [`cache_key`]/[`cache_key_view_reusing`] already computed while building
 //!   the key, and the per-shard maps consume that same hash through a
 //!   pass-through hasher — key bytes are hashed exactly once per
 //!   request, at key-derivation time.
@@ -26,9 +26,9 @@
 //! pressure differs from the global FIFO.
 //!
 //! [`cache_key`]: crate::cache::cache_key
-//! [`cache_key_view`]: crate::cache::cache_key_view
+//! [`cache_key_view_reusing`]: crate::cache::cache_key_view_reusing
 
-use crate::cache::{CacheKey, CacheStats, Lookup, ResponseCache};
+use crate::cache::{CacheKey, CacheStats, Lookup, Probe, ResponseCache};
 use crate::msg::CoapMessage;
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -265,13 +265,10 @@ impl ShardedResponseCache {
         self.shard(key).lock().unwrap().lookup(key, now)
     }
 
-    /// Zero-alloc fresh-hit fast path (see
-    /// [`ResponseCache::serve_hit_into`]): on a fresh entry the
-    /// client-facing reply wire is encoded into `out` under the shard
-    /// lock and `true` is returned; a miss or stale entry returns
-    /// `false` without touching statistics, and the caller falls back
-    /// to [`ShardedResponseCache::lookup`].
-    #[allow(clippy::too_many_arguments)]
+    /// Probe a request's key under one shard lock (see
+    /// [`ResponseCache::serve_hit_into`]): a fresh hit's reply wire is
+    /// encoded into `out`, a stale entry's ETag is written there; every
+    /// outcome is classified and counted.
     pub fn serve_hit_into(
         &self,
         key: &CacheKey,
@@ -280,7 +277,7 @@ impl ShardedResponseCache {
         client_token: &[u8],
         client_etag: Option<&[u8]>,
         out: &mut Vec<u8>,
-    ) -> bool {
+    ) -> Probe {
         self.shard(key).lock().unwrap().serve_hit_into(
             key,
             now,

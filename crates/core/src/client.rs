@@ -107,7 +107,6 @@ pub enum QueryOutcome {
 struct PendingExchange {
     question: Question,
     key: CacheKey,
-    revalidating: bool,
 }
 
 /// The DoC client.
@@ -185,7 +184,6 @@ impl DocClient {
         )?;
         let key = cache_key(&req);
         // 3. Client CoAP cache (only for cacheable methods).
-        let mut revalidating = false;
         if self.method.cacheable() {
             if let Some(cache) = &mut self.coap_cache {
                 match cache.lookup(&key, now_ms) {
@@ -199,21 +197,14 @@ impl DocClient {
                     }
                     Lookup::Stale { etag, .. } => {
                         req.set_option(CoapOption::new(OptionNumber::ETAG, etag));
-                        revalidating = true;
                         self.stats.revalidations_sent += 1;
                     }
                     Lookup::Miss | Lookup::StaleNoEtag => {}
                 }
             }
         }
-        self.pending.insert(
-            token,
-            PendingExchange {
-                question,
-                key,
-                revalidating,
-            },
-        );
+        self.pending
+            .insert(token, PendingExchange { question, key });
         Ok(QueryOutcome::SendRequest(Box::new(req)))
     }
 
@@ -255,7 +246,6 @@ impl DocClient {
             }
             _ => return Err(DocError::BadDnsMessage),
         };
-        let _ = pending.revalidating;
         let answer = self.decode_response(&pending.question, &final_resp)?;
         if let Some(dc) = &mut self.dns_cache {
             dc.insert(pending.question, answer.clone(), now_ms);

@@ -20,7 +20,7 @@
 use crate::client::{DocClient, QueryOutcome};
 use crate::method::DocMethod;
 use crate::policy::CachePolicy;
-use crate::proxy::{CoapProxy, ProxyAction};
+use crate::proxy::{CoapProxy, ProxyScratch, WireAction};
 use crate::server::{DocServer, MockUpstream};
 use crate::transport::{
     experiment_name, frame_stream_query, frame_stream_response, TransportKind, QUIC_PSK,
@@ -1219,8 +1219,18 @@ impl<'a> Driver<'a> {
                     self.sim.send_datagram(self.proxy_id, to, datagram, tag);
                 }
                 EpEvent::Request { from: client, msg } => {
-                    match self.proxy.handle_client_request(&msg, now) {
-                        ProxyAction::Respond(resp) => {
+                    let mut reply = Vec::new();
+                    let action = self.proxy.serve_wire(
+                        &msg.encode(),
+                        now,
+                        &mut ProxyScratch::default(),
+                        &mut reply,
+                    );
+                    match action {
+                        Ok(WireAction::Responded) => {
+                            let Ok(resp) = CoapMessage::decode(&reply) else {
+                                continue;
+                            };
                             if let Some(&qidx) = self.clients[client].token_query.get(&msg.token) {
                                 let kind = if resp.code == Code::VALID {
                                     EventKind::CacheValidation
@@ -1241,10 +1251,10 @@ impl<'a> Driver<'a> {
                                 }
                             }
                         }
-                        ProxyAction::Forward {
+                        Ok(WireAction::Forward {
                             mut request,
                             exchange_id,
-                        } => {
+                        }) => {
                             let mid = self.proxy_ep.alloc_mid();
                             let tok = self.proxy_ep.alloc_token();
                             request.message_id = mid;
@@ -1260,6 +1270,9 @@ impl<'a> Driver<'a> {
                                 }
                             }
                         }
+                        // The endpoint decoded this request, so it
+                        // re-encodes to a well-formed datagram.
+                        Err(_) => {}
                     }
                 }
                 EpEvent::Response { msg, .. } => {

@@ -7,6 +7,14 @@
 //! paper's §4.2 design — and with OSCORE the proxy caches *encrypted*
 //! responses it cannot read (Fig. 4b).
 //!
+//! A request has one way in, [`CoapProxy::serve_wire`]: it parses the
+//! datagram as a borrowed [`CoapView`], derives the cache key, and
+//! probes the cache once. A fresh hit is encoded straight into the
+//! caller's reply buffer; a miss, a stale entry or a non-cacheable
+//! method becomes a [`WireAction::Forward`], whose upstream answer
+//! comes back through [`CoapProxy::handle_upstream_response`]. The
+//! paper simulation and the worker pool both drive this same path.
+//!
 //! The proxy is **thread-safe**: every public method takes `&self`, so
 //! an `Arc<CoapProxy>` can be shared across the workers of a
 //! [`crate::pool`] front-end. Internally the response cache and the
@@ -17,7 +25,7 @@
 //! bit-identical to the historical unsharded proxy, FIFO eviction
 //! included.
 
-use doc_coap::cache::{cache_key_view, cache_key_view_reusing, CacheKey, Lookup};
+use doc_coap::cache::{cache_key_view_reusing, is_cacheable_method, CacheKey, Probe};
 use doc_coap::msg::{CoapMessage, Code};
 use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_coap::shard::{ShardedCache, ShardedResponseCache};
@@ -27,29 +35,14 @@ use doc_coap::CoapError;
 // executions — see `crates/check`).
 use doc_check::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// What the proxy decided to do with a client request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProxyAction {
-    /// Serve this response straight back to the client.
-    Respond(Box<CoapMessage>),
-    /// Forward this (possibly rewritten) request upstream; correlate
-    /// the upstream exchange with `exchange_id`.
-    Forward {
-        /// Request to send upstream (fresh MID/token set by caller's
-        /// endpoint).
-        request: Box<CoapMessage>,
-        /// Correlation handle for [`CoapProxy::handle_upstream_response`].
-        exchange_id: u64,
-    },
-}
-
 /// What [`CoapProxy::serve_wire`] did with the request.
 #[derive(Debug, PartialEq, Eq)]
 pub enum WireAction {
     /// The reply wire was encoded into the caller's buffer.
     Responded,
-    /// Forward this request upstream — exactly
-    /// [`ProxyAction::Forward`].
+    /// Forward this request upstream. It still carries the client's
+    /// MID and token (the caller's endpoint assigns fresh ones) and,
+    /// when revalidating a stale entry, the cached ETag.
     Forward {
         /// Request to send upstream.
         request: Box<CoapMessage>,
@@ -82,9 +75,15 @@ pub struct ProxyStats {
     pub forwards: u32,
 }
 
+/// A forwarded request's state: exactly what
+/// [`CoapProxy::handle_upstream_response`] needs to answer the client.
 struct Outstanding {
     key: CacheKey,
-    client_request: CoapMessage,
+    client_mid: u16,
+    client_token: Vec<u8>,
+    /// Whether the request method's responses may be cached.
+    cacheable: bool,
+    /// The client's own ETag — not the one the proxy revalidates with.
     client_etag: Option<Vec<u8>>,
     revalidating: bool,
 }
@@ -163,71 +162,16 @@ impl CoapProxy {
         self.cache.stats()
     }
 
-    /// Handle a client request at time `now_ms`.
-    ///
-    /// Owned-message convenience wrapper over the wire hot path: the
-    /// request is encoded once and handled as a borrowed view, so both
-    /// entry points exercise exactly the same logic (the serialize pass
-    /// is the deliberate price for not maintaining two request
-    /// handlers; latency-sensitive callers hold wire bytes already and
-    /// use [`CoapProxy::handle_client_request_wire`] directly). A
-    /// message that cannot be represented on the wire (e.g. a token
-    /// longer than 8 bytes) is answered `4.00 Bad Request` rather than
-    /// processed — with the token truncated to 8 bytes so the reply
-    /// itself stays encodable.
-    pub fn handle_client_request(&self, req: &CoapMessage, now_ms: u64) -> ProxyAction {
-        if req.token.len() > 8 {
-            bump(&self.stats.requests);
-            return ProxyAction::Respond(Box::new(CoapMessage::ack_reply(
-                req.message_id,
-                req.token[..8].to_vec(),
-                Code::BAD_REQUEST,
-            )));
-        }
-        let wire = req.encode();
-        match self.handle_client_request_wire(&wire, now_ms) {
-            Ok(action) => action,
-            Err(_) => {
-                bump(&self.stats.requests);
-                ProxyAction::Respond(Box::new(CoapMessage::ack_reply(
-                    req.message_id,
-                    req.token.clone(),
-                    Code::BAD_REQUEST,
-                )))
-            }
-        }
-    }
-
-    /// Handle a client request straight from its datagram bytes — the
-    /// zero-copy hot path. The request is parsed as a borrowed
-    /// [`CoapView`]: a fresh cache hit touches no owned message at all
-    /// (the key is derived from the view, the reply reuses the cached
-    /// entry), and the request is materialized with `to_owned()` only
-    /// at the single point where it must outlive the datagram — when it
-    /// is forwarded upstream and parked in the outstanding-exchange
-    /// table.
-    pub fn handle_client_request_wire(
-        &self,
-        wire: &[u8],
-        now_ms: u64,
-    ) -> Result<ProxyAction, CoapError> {
-        let req = CoapView::parse(wire)?;
-        bump(&self.stats.requests);
-        // The key (and its FNV hash) is derived from the view exactly
-        // once per request; every later consumer — cache lookup, shard
-        // selection, the outstanding-exchange entry — reuses it.
-        let key = cache_key_view(&req);
-        Ok(self.dispatch(key, &req, now_ms))
-    }
-
-    /// Wire-in/wire-out hot path: like
-    /// [`CoapProxy::handle_client_request_wire`], but a fresh cache hit
-    /// encodes the reply *directly into* `out` (cleared at entry) via
-    /// the cache's zero-copy hit encoder, and the cache key is derived
-    /// into `scratch`'s recycled buffer — so a steady-state hit
-    /// allocates nothing at all. Miss/stale/POST requests fall back to
-    /// the shared slow path, reusing the already-derived key; a
-    /// resulting `Respond` is also encoded into `out`.
+    /// Handle a client request at time `now_ms`, straight from its
+    /// datagram bytes. The request is parsed as a borrowed
+    /// [`CoapView`] and its cache key is derived into `scratch`'s
+    /// recycled buffer. A cacheable request then probes the cache
+    /// once, under one shard lock: a fresh hit encodes the reply into
+    /// `out` (cleared first) and allocates nothing; a stale entry is
+    /// revalidated upstream with its ETag; a miss is fetched in full.
+    /// Non-cacheable methods (POST) always pass through. The request
+    /// is materialized with `to_owned()` only when it is forwarded.
+    /// A malformed datagram is an `Err` and is not counted.
     pub fn serve_wire(
         &self,
         wire: &[u8],
@@ -238,101 +182,64 @@ impl CoapProxy {
         let req = CoapView::parse(wire)?;
         bump(&self.stats.requests);
         let key = cache_key_view_reusing(&req, std::mem::take(&mut scratch.key_buf));
-        if doc_coap::cache::is_cacheable_method(req.code) {
-            let client_etag = req.option(OptionNumber::ETAG).map(|o| o.value);
-            if self.cache.serve_hit_into(
-                &key,
-                now_ms,
-                req.message_id,
-                req.token(),
-                client_etag,
-                out,
-            ) {
+        if !is_cacheable_method(req.code) {
+            bump(&self.stats.forwards);
+            return Ok(self.forward(key, &req, false, None));
+        }
+        let client_etag = req.option(OptionNumber::ETAG).map(|o| o.value);
+        let probe =
+            self.cache
+                .serve_hit_into(&key, now_ms, req.message_id, req.token(), client_etag, out);
+        Ok(match probe {
+            Probe::Served => {
                 bump(&self.stats.cache_hits);
                 scratch.key_buf = key.into_bytes();
-                return Ok(WireAction::Responded);
+                WireAction::Responded
             }
-        }
-        // Slow path: identical decision logic to the owned entry point.
-        // (A concurrent insert may have landed since the fast-path
-        // probe; `dispatch`'s own lookup then serves and counts the
-        // fresh hit — never double-counted, since the probe declined
-        // without counting.)
-        match self.dispatch(key, &req, now_ms) {
-            ProxyAction::Respond(resp) => {
-                out.clear();
-                resp.encode_into(out);
-                Ok(WireAction::Responded)
-            }
-            ProxyAction::Forward {
-                request,
-                exchange_id,
-            } => Ok(WireAction::Forward {
-                request,
-                exchange_id,
-            }),
-        }
-    }
-
-    /// The proxy's request decision tree, shared by every entry point.
-    /// `bump(requests)` has already happened; `key` is the request's
-    /// derived cache key, consumed by the forward path.
-    fn dispatch(&self, key: CacheKey, req: &CoapView<'_>, now_ms: u64) -> ProxyAction {
-        if !doc_coap::cache::is_cacheable_method(req.code) {
-            // POST etc.: pure pass-through.
-            bump(&self.stats.forwards);
-            return self.forward(key, req.to_owned(), None, false);
-        }
-        match self.cache.lookup(&key, now_ms) {
-            Lookup::Fresh(cached) => {
-                bump(&self.stats.cache_hits);
-                let client_etag = req.option(OptionNumber::ETAG).map(|o| o.value);
-                let resp = Self::reply_from_entry(
-                    req.message_id,
-                    req.token().to_vec(),
-                    &cached,
-                    client_etag,
-                );
-                ProxyAction::Respond(Box::new(resp))
-            }
-            Lookup::Stale { etag, .. } => {
-                // Revalidate upstream with the cached ETag.
+            Probe::Stale => {
                 bump(&self.stats.revalidations);
-                let original = req.to_owned();
-                let mut upstream_req = original.clone();
-                upstream_req.set_option(CoapOption::new(OptionNumber::ETAG, etag));
-                self.forward(key, upstream_req, Some(original), true)
+                // The probe left the cached ETag in `out`.
+                let action = self.forward(key, &req, true, Some(out.as_slice()));
+                out.clear();
+                action
             }
-            Lookup::Miss | Lookup::StaleNoEtag => {
+            Probe::Miss => {
                 bump(&self.stats.forwards);
-                self.forward(key, req.to_owned(), None, false)
+                self.forward(key, &req, true, None)
             }
-        }
+        })
     }
 
+    /// Park the exchange state and hand the request upstream; with
+    /// `revalidate`, the proxy's cached ETag replaces the client's on
+    /// the upstream request (the client's own is kept for the reply).
     fn forward(
         &self,
         key: CacheKey,
-        upstream_req: CoapMessage,
-        original: Option<CoapMessage>,
-        revalidating: bool,
-    ) -> ProxyAction {
+        req: &CoapView<'_>,
+        cacheable: bool,
+        revalidate: Option<&[u8]>,
+    ) -> WireAction {
+        let mut request = req.to_owned();
+        let client_etag = request.option(OptionNumber::ETAG).map(|o| o.value.clone());
+        let revalidating = revalidate.is_some();
+        if let Some(etag) = revalidate {
+            request.set_option(CoapOption::new(OptionNumber::ETAG, etag.to_vec()));
+        }
         let id = self.next_exchange.fetch_add(1, Ordering::Relaxed);
-        let client_request = original.unwrap_or_else(|| upstream_req.clone());
-        let client_etag = client_request
-            .option(OptionNumber::ETAG)
-            .map(|o| o.value.clone());
         self.outstanding.insert(
             id,
             Outstanding {
                 key,
-                client_request,
+                client_mid: req.message_id,
+                client_token: req.token().to_vec(),
+                cacheable,
                 client_etag,
                 revalidating,
             },
         );
-        ProxyAction::Forward {
-            request: Box::new(upstream_req),
+        WireAction::Forward {
+            request: Box::new(request),
             exchange_id: id,
         }
     }
@@ -346,21 +253,25 @@ impl CoapProxy {
         resp: &CoapMessage,
         now_ms: u64,
     ) -> Option<CoapMessage> {
-        let mut out = self.outstanding.remove(&exchange_id)?;
         // The exchange state is consumed here: its identifiers move
         // into the reply instead of being cloned.
-        let client_mid = out.client_request.message_id;
-        let client_token = std::mem::take(&mut out.client_request.token);
+        let Outstanding {
+            key,
+            client_mid,
+            client_token,
+            cacheable,
+            client_etag,
+            revalidating,
+        } = self.outstanding.remove(&exchange_id)?;
         match resp.code {
-            Code::VALID if out.revalidating => {
+            Code::VALID if revalidating => {
                 bump(&self.stats.revalidated);
-                let refreshed = self.cache.revalidate(&out.key, resp, now_ms);
-                match refreshed {
+                match self.cache.revalidate(&key, resp, now_ms) {
                     Some(entry) => Some(Self::reply_from_entry(
                         client_mid,
                         client_token,
                         &entry,
-                        out.client_etag.as_deref(),
+                        client_etag.as_deref(),
                     )),
                     // Entry evicted meanwhile: degrade to an error the
                     // client will retry.
@@ -372,16 +283,14 @@ impl CoapProxy {
                 }
             }
             code if code.is_success() => {
-                if doc_coap::cache::is_cacheable_method(out.client_request.code)
-                    && code == Code::CONTENT
-                {
-                    self.cache.insert(out.key, resp.clone(), now_ms);
+                if cacheable && code == Code::CONTENT {
+                    self.cache.insert(key, resp.clone(), now_ms);
                 }
                 Some(Self::reply_from_entry(
                     client_mid,
                     client_token,
                     resp,
-                    out.client_etag.as_deref(),
+                    client_etag.as_deref(),
                 ))
             }
             _ => {
@@ -395,11 +304,10 @@ impl CoapProxy {
         }
     }
 
-    /// Build the client-facing reply from a cached/fresh entry,
-    /// downgrading to `2.03 Valid` when the client already holds the
-    /// same representation (its ETag matches). The client token is
-    /// taken by value — moved from consumed exchange state or copied
-    /// once out of a borrowed request view, never double-cloned.
+    /// Build the client-facing reply from an upstream or refreshed
+    /// entry, downgrading to `2.03 Valid` when the client already holds
+    /// the same representation (its ETag matches). The client token is
+    /// moved from the consumed exchange state, never cloned.
     fn reply_from_entry(
         client_mid: u16,
         client_token: Vec<u8>,
@@ -460,6 +368,25 @@ mod tests {
         DocServer::new(policy, up)
     }
 
+    /// Serve `req` through the wire entry point with fresh scratch.
+    fn serve(proxy: &CoapProxy, req: &CoapMessage, now: u64, out: &mut Vec<u8>) -> WireAction {
+        let mut scratch = ProxyScratch::default();
+        proxy
+            .serve_wire(&req.encode(), now, &mut scratch, out)
+            .expect("well-formed request")
+    }
+
+    /// The upstream request and exchange of a request that must miss.
+    fn forwarded(proxy: &CoapProxy, req: &CoapMessage, now: u64) -> (Box<CoapMessage>, u64) {
+        match serve(proxy, req, now, &mut Vec::new()) {
+            WireAction::Forward {
+                request,
+                exchange_id,
+            } => (request, exchange_id),
+            other => panic!("{other:?}"),
+        }
+    }
+
     /// Drive request → proxy → server → proxy → response.
     fn via_proxy(
         proxy: &CoapProxy,
@@ -467,9 +394,10 @@ mod tests {
         req: &CoapMessage,
         now: u64,
     ) -> CoapMessage {
-        match proxy.handle_client_request(req, now) {
-            ProxyAction::Respond(resp) => *resp,
-            ProxyAction::Forward {
+        let mut out = Vec::new();
+        match serve(proxy, req, now, &mut out) {
+            WireAction::Responded => CoapMessage::decode(&out).expect("reply decodes"),
+            WireAction::Forward {
                 request,
                 exchange_id,
             } => {
@@ -499,85 +427,38 @@ mod tests {
         assert_eq!(r2.token, fetch_req(2).token);
     }
 
-    /// The wire entry point (borrowed-view hot path) behaves exactly
-    /// like the owned one: miss → forward, hit → cached reply with the
-    /// second client's exchange identifiers.
+    /// Miss → hit → ETag-match `2.03` → POST pass-through on the wire
+    /// entry point: each reply keyed to its own client exchange, and
+    /// every outcome counted exactly once in both statistics surfaces.
     #[test]
     fn miss_then_hit_on_wire_path() {
         let proxy = CoapProxy::new(8);
         let server = doc_server(CachePolicy::EolTtls, 300);
-        let wire1 = fetch_req(1).encode();
-        let action = proxy.handle_client_request_wire(&wire1, 0).unwrap();
-        let r1 = match action {
-            ProxyAction::Forward {
-                request,
-                exchange_id,
-            } => {
-                let upstream = server.handle_request(&request, 0);
-                proxy
-                    .handle_upstream_response(exchange_id, &upstream, 0)
-                    .unwrap()
-            }
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(r1.code, Code::CONTENT);
-        // Second request hits the cache without any owned decode.
-        let wire2 = fetch_req(2).encode();
-        let r2 = match proxy.handle_client_request_wire(&wire2, 10_000).unwrap() {
-            ProxyAction::Respond(resp) => *resp,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!(r2.code, Code::CONTENT);
-        assert_eq!(proxy.stats().cache_hits, 1);
-        assert_eq!(r2.token, fetch_req(2).token);
-        assert_eq!(r2.message_id, fetch_req(2).message_id);
-        assert_eq!(r2.max_age(), 290);
-        // Malformed datagrams are rejected, not panicked on.
-        assert!(proxy.handle_client_request_wire(&[0xFF, 0x01], 0).is_err());
-    }
-
-    /// `serve_wire` (scratch-threading, wire-direct) must be
-    /// observationally identical to `handle_client_request_wire`:
-    /// byte-identical replies, same statistics, same forward actions.
-    #[test]
-    fn serve_wire_matches_wire_entry_point() {
-        let mk = || (CoapProxy::new(8), doc_server(CachePolicy::EolTtls, 300));
-        let (p_ref, s_ref) = mk();
-        let (p_new, s_new) = mk();
-        let mut scratch = ProxyScratch::default();
-        let mut out = Vec::new();
-        let drive_new = |p: &CoapProxy,
-                         s: &DocServer,
-                         wire: &[u8],
-                         now: u64,
-                         scratch: &mut ProxyScratch,
-                         out: &mut Vec<u8>| {
-            match p.serve_wire(wire, now, scratch, out).unwrap() {
-                WireAction::Responded => {}
-                WireAction::Forward {
-                    request,
-                    exchange_id,
-                } => {
-                    let up = s.handle_request(&request, now);
-                    let reply = p
-                        .handle_upstream_response(exchange_id, &up, now)
-                        .expect("known exchange");
-                    out.clear();
-                    reply.encode_into(out);
-                }
-            }
-        };
-        // Miss → hit → ETag-match 2.03 → POST pass-through.
-        let mut reqs = vec![
-            (fetch_req(1).encode(), 0u64),
-            (fetch_req(2).encode(), 10_000),
-        ];
-        let r1 = via_proxy(&p_ref, &s_ref, &fetch_req(1), 0);
-        let _ = via_proxy(&p_ref, &s_ref, &fetch_req(2), 10_000);
+        let r1 = via_proxy(&proxy, &server, &fetch_req(1), 0);
+        assert_eq!(
+            (r1.code, r1.message_id, r1.token.as_slice(), r1.max_age()),
+            (Code::CONTENT, 1, &[1, 0xCC][..], 300)
+        );
+        assert_eq!(r1.mtype, MsgType::Ack);
         let etag = r1.option(OptionNumber::ETAG).unwrap().value.clone();
+        // Hit: the cached body under the second client's identifiers.
+        let r2 = via_proxy(&proxy, &server, &fetch_req(2), 10_000);
+        assert_eq!(
+            (r2.code, r2.message_id, r2.token.as_slice(), r2.max_age()),
+            (Code::CONTENT, 2, &[2, 0xCC][..], 290)
+        );
+        assert_eq!(r2.payload, r1.payload);
+        // The client already holds the representation: `2.03`.
         let mut req3 = fetch_req(3);
-        req3.set_option(CoapOption::new(OptionNumber::ETAG, etag));
-        reqs.push((req3.encode(), 20_000));
+        req3.set_option(CoapOption::new(OptionNumber::ETAG, etag.clone()));
+        let r3 = via_proxy(&proxy, &server, &req3, 20_000);
+        assert_eq!(
+            (r3.code, r3.message_id, r3.token.as_slice(), r3.max_age()),
+            (Code::VALID, 3, &[3, 0xCC][..], 280)
+        );
+        assert!(r3.payload.is_empty());
+        assert_eq!(r3.option(OptionNumber::ETAG).unwrap().value, etag);
+        // POST is never cached: it reaches the origin.
         let post = build_request(
             DocMethod::Post,
             &query_bytes(),
@@ -586,25 +467,35 @@ mod tests {
             vec![4, 0xCC],
         )
         .unwrap();
-        reqs.push((post.encode(), 21_000));
-        let _ = via_proxy(&p_ref, &s_ref, &req3, 20_000);
-        let _ = via_proxy(&p_ref, &s_ref, &post, 21_000);
-        // Replay the same sequence through serve_wire on the fresh
-        // pair, comparing the reply bytes against the owned path.
-        let (p_cmp, s_cmp) = mk();
-        for (wire, now) in &reqs {
-            drive_new(&p_new, &s_new, wire, *now, &mut scratch, &mut out);
-            let req = CoapMessage::decode(wire).unwrap();
-            let expect = via_proxy(&p_cmp, &s_cmp, &req, *now);
-            assert_eq!(out, expect.encode(), "now {now}");
-        }
-        assert_eq!(p_new.stats(), p_ref.stats());
-        assert_eq!(s_new.stats().requests, s_ref.stats().requests);
-        assert_eq!(p_new.cache_stats(), p_ref.cache_stats());
-        // Malformed datagrams error out, not panic.
-        assert!(p_new
-            .serve_wire(&[0xFF, 0x01], 0, &mut scratch, &mut out)
+        let r4 = via_proxy(&proxy, &server, &post, 21_000);
+        assert_eq!(
+            (r4.code, r4.message_id, r4.token.as_slice()),
+            (Code::CONTENT, 4, &[4, 0xCC][..])
+        );
+        // Malformed datagrams error out, not panic, and are not counted.
+        let mut scratch = ProxyScratch::default();
+        assert!(proxy
+            .serve_wire(&[0xFF, 0x01], 0, &mut scratch, &mut Vec::new())
             .is_err());
+        assert_eq!(
+            proxy.stats(),
+            ProxyStats {
+                requests: 4,
+                cache_hits: 2,
+                revalidations: 0,
+                revalidated: 0,
+                forwards: 2,
+            }
+        );
+        assert_eq!(
+            proxy.cache_stats(),
+            doc_coap::cache::CacheStats {
+                hits: 2,
+                misses: 1,
+                ..Default::default()
+            }
+        );
+        assert_eq!(server.stats().requests, 2);
     }
 
     #[test]
@@ -624,6 +515,50 @@ mod tests {
         assert_eq!(server.stats().validations, 1);
         // Fresh (decayed) Max-Age propagated: 3 s remaining.
         assert_eq!(r.max_age(), 3);
+    }
+
+    /// Revalidating a stale entry sends the proxy's cached ETag
+    /// upstream, but the relayed reply is judged against the client's
+    /// own ETag: a client holding another representation gets the full
+    /// body, a client holding the cached one gets `2.03`.
+    #[test]
+    fn stale_revalidation_answers_the_clients_own_etag() {
+        for client_holds_entry in [false, true] {
+            let proxy = CoapProxy::new(8);
+            let server = doc_server(CachePolicy::EolTtls, 5);
+            let r1 = via_proxy(&proxy, &server, &fetch_req(1), 0);
+            let cached = r1.option(OptionNumber::ETAG).unwrap().value.clone();
+            server.handle_request(&fetch_req(9), 7_000);
+            let own = if client_holds_entry {
+                cached.clone()
+            } else {
+                vec![0xEE, 0xEE]
+            };
+            let mut req = fetch_req(2);
+            req.set_option(CoapOption::new(OptionNumber::ETAG, own));
+            let (upstream_req, id) = forwarded(&proxy, &req, 9_000);
+            assert_eq!(
+                upstream_req.option(OptionNumber::ETAG).unwrap().value,
+                cached,
+                "the proxy revalidates its own entry"
+            );
+            let valid = server.handle_request(&upstream_req, 9_000);
+            assert_eq!(valid.code, Code::VALID);
+            let r = proxy.handle_upstream_response(id, &valid, 9_000).unwrap();
+            let expect = if client_holds_entry {
+                Code::VALID
+            } else {
+                Code::CONTENT
+            };
+            assert_eq!(r.code, expect);
+            assert_eq!(r.payload.is_empty(), client_holds_entry);
+            assert_eq!(r.option(OptionNumber::ETAG).unwrap().value, cached);
+            assert_eq!((r.message_id, r.token.as_slice()), (2, &[2, 0xCC][..]));
+            assert_eq!(
+                (proxy.stats().revalidations, proxy.stats().revalidated),
+                (1, 1)
+            );
+        }
     }
 
     #[test]
@@ -682,14 +617,7 @@ mod tests {
     fn error_responses_pass_through() {
         let proxy = CoapProxy::new(8);
         let req = fetch_req(1);
-        let action = proxy.handle_client_request(&req, 0);
-        let (fwd, id) = match action {
-            ProxyAction::Forward {
-                request,
-                exchange_id,
-            } => (request, exchange_id),
-            other => panic!("{other:?}"),
-        };
+        let (fwd, id) = forwarded(&proxy, &req, 0);
         let err = CoapMessage::ack_response(&fwd, Code::NOT_FOUND);
         let relay = proxy.handle_upstream_response(id, &err, 0).unwrap();
         assert_eq!(relay.code, Code::NOT_FOUND);

@@ -332,46 +332,6 @@ impl CipherState {
             .map_err(|_| DtlsError::Crypto)
     }
 
-    /// Unprotect a borrowed record in one step (view decode + AEAD
-    /// open into the reused buffer).
-    pub fn open_record_into(
-        &self,
-        record: &RecordView<'_>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), DtlsError> {
-        self.open_into(record.ctype, record.epoch, record.seq, record.payload, out)
-    }
-
-    /// Unprotect an owned record payload **in place**: on success the
-    /// `Vec` that held `explicit_nonce || ciphertext || tag` becomes
-    /// the plaintext; on authentication failure it is left byte-exactly
-    /// as it was. Built on [`AesCcm::open_suffix_in_place`], so the
-    /// ciphertext is never copied into a scratch buffer — this is the
-    /// receive-path mirror of [`CipherState::seal`] for callers holding
-    /// an owned [`Record`].
-    pub fn open_payload_in_place(
-        &self,
-        ctype: ContentType,
-        epoch: u16,
-        seq: u64,
-        payload: &mut Vec<u8>,
-    ) -> Result<(), DtlsError> {
-        if payload.len() < EXPLICIT_NONCE_LEN + TAG_LEN {
-            return Err(DtlsError::Malformed);
-        }
-        let (explicit, _) = payload
-            .split_first_chunk::<EXPLICIT_NONCE_LEN>()
-            .ok_or(DtlsError::Malformed)?;
-        let nonce = self.nonce(explicit);
-        let plain_len = payload.len() - Self::OVERHEAD;
-        let aad = Self::aad(ctype, epoch, seq, plain_len);
-        self.ccm
-            .open_suffix_in_place(&nonce, &aad, payload, EXPLICIT_NONCE_LEN)
-            .map_err(|_| DtlsError::Crypto)?;
-        payload.drain(..EXPLICIT_NONCE_LEN);
-        Ok(())
-    }
-
     /// Per-record protection overhead in bytes (nonce + tag) — the
     /// quantity that inflates every DTLS frame in the paper's Fig. 6.
     pub const OVERHEAD: usize = EXPLICIT_NONCE_LEN + TAG_LEN;
@@ -576,7 +536,8 @@ mod tests {
         let mut buf = Vec::new();
         for _ in 0..3 {
             buf.clear();
-            cs.open_record_into(&view, &mut buf).unwrap();
+            cs.open_into(view.ctype, view.epoch, view.seq, view.payload, &mut buf)
+                .unwrap();
             assert_eq!(buf, b"dns response");
         }
         // Tampered ciphertext leaves the buffer untouched.
@@ -590,34 +551,6 @@ mod tests {
             Err(DtlsError::Crypto)
         );
         assert_eq!(buf, vec![0x77]);
-    }
-
-    #[test]
-    fn open_payload_in_place_roundtrip_and_restore() {
-        let cs = CipherState::new(&[7u8; 16], [1, 2, 3, 4]);
-        let mut payload = cs
-            .seal(ContentType::ApplicationData, 1, 42, b"dns response")
-            .unwrap();
-        let sealed = payload.clone();
-        cs.open_payload_in_place(ContentType::ApplicationData, 1, 42, &mut payload)
-            .unwrap();
-        assert_eq!(payload, b"dns response");
-        // Tampered: buffer untouched, byte-exactly.
-        let mut bad = sealed.clone();
-        let n = bad.len();
-        bad[n - 1] ^= 1;
-        let snapshot = bad.clone();
-        assert_eq!(
-            cs.open_payload_in_place(ContentType::ApplicationData, 1, 42, &mut bad),
-            Err(DtlsError::Crypto)
-        );
-        assert_eq!(bad, snapshot);
-        // Too short for nonce + tag.
-        let mut tiny = sealed[..10].to_vec();
-        assert_eq!(
-            cs.open_payload_in_place(ContentType::ApplicationData, 1, 42, &mut tiny),
-            Err(DtlsError::Malformed)
-        );
     }
 
     #[test]

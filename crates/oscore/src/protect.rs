@@ -15,9 +15,8 @@
 
 use crate::context::{decode_piv, SecurityContext, TAG_LEN};
 use crate::OscoreError;
-use doc_coap::msg::{CoapMessage, Code, MsgType};
+use doc_coap::msg::{CoapMessage, Code};
 use doc_coap::opt::{CoapOption, OptionNumber};
-use doc_coap::view::CoapView;
 use doc_crypto::ccm::AesCcm;
 
 /// Decoded OSCORE option value.
@@ -480,43 +479,7 @@ impl OscoreEndpoint {
         let opt_value = outer
             .option(OptionNumber::OSCORE)
             .ok_or(OscoreError::NotOscore)?;
-        self.unprotect_request_parts(
-            &opt_value.value,
-            outer.mtype,
-            outer.message_id,
-            &outer.token,
-            &outer.payload,
-        )
-    }
-
-    /// [`OscoreEndpoint::unprotect_request`] over a borrowed wire view:
-    /// the outer message is never materialized — option value, token
-    /// and ciphertext are read straight from the datagram.
-    pub fn unprotect_request_view(
-        &mut self,
-        outer: &CoapView<'_>,
-    ) -> Result<(CoapMessage, RequestBinding), OscoreError> {
-        let opt_value = outer
-            .option(OptionNumber::OSCORE)
-            .ok_or(OscoreError::NotOscore)?;
-        self.unprotect_request_parts(
-            opt_value.value,
-            outer.mtype,
-            outer.message_id,
-            outer.token(),
-            outer.payload(),
-        )
-    }
-
-    fn unprotect_request_parts(
-        &mut self,
-        opt_value: &[u8],
-        mtype: MsgType,
-        message_id: u16,
-        token: &[u8],
-        payload: &[u8],
-    ) -> Result<(CoapMessage, RequestBinding), OscoreError> {
-        let opt = OscoreOption::decode(opt_value)?;
+        let opt = OscoreOption::decode(&opt_value.value)?;
         let kid = opt.kid.clone().ok_or(OscoreError::Malformed)?;
         if kid != self.ctx.recipient_id {
             return Err(OscoreError::Crypto);
@@ -524,10 +487,10 @@ impl OscoreEndpoint {
         let seq = decode_piv(&opt.piv).ok_or(OscoreError::Malformed)?;
         let aad = build_aad(&kid, &opt.piv);
         let nonce = self.ctx.nonce(&kid, &opt.piv);
-        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), payload)?;
-        inner.mtype = mtype;
-        inner.message_id = message_id;
-        inner.token = token.to_vec();
+        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), &outer.payload)?;
+        inner.mtype = outer.mtype;
+        inner.message_id = outer.message_id;
+        inner.token = outer.token.clone();
 
         // Echo-based replay-window initialization (RFC 8613 Appendix
         // B.1.2 / RFC 9175): before accepting the first request, demand
@@ -613,47 +576,12 @@ impl OscoreEndpoint {
         outer
             .option(OptionNumber::OSCORE)
             .ok_or(OscoreError::NotOscore)?;
-        self.unprotect_response_parts(
-            binding,
-            outer.mtype,
-            outer.message_id,
-            &outer.token,
-            &outer.payload,
-        )
-    }
-
-    /// [`OscoreEndpoint::unprotect_response`] over a borrowed wire view.
-    pub fn unprotect_response_view(
-        &self,
-        outer: &CoapView<'_>,
-        binding: &RequestBinding,
-    ) -> Result<CoapMessage, OscoreError> {
-        outer
-            .option(OptionNumber::OSCORE)
-            .ok_or(OscoreError::NotOscore)?;
-        self.unprotect_response_parts(
-            binding,
-            outer.mtype,
-            outer.message_id,
-            outer.token(),
-            outer.payload(),
-        )
-    }
-
-    fn unprotect_response_parts(
-        &self,
-        binding: &RequestBinding,
-        mtype: MsgType,
-        message_id: u16,
-        token: &[u8],
-        payload: &[u8],
-    ) -> Result<CoapMessage, OscoreError> {
         let aad = build_aad(&binding.kid, &binding.piv);
         let nonce = self.ctx.nonce(&binding.kid, &binding.piv);
-        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), payload)?;
-        inner.mtype = mtype;
-        inner.message_id = message_id;
-        inner.token = token.to_vec();
+        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), &outer.payload)?;
+        inner.mtype = outer.mtype;
+        inner.message_id = outer.message_id;
+        inner.token = outer.token.clone();
         Ok(inner)
     }
 
@@ -966,41 +894,13 @@ mod tests {
             assert_eq!(wire, outer.encode());
             assert_eq!(binding_a, binding_b);
         }
-        // And the server can unprotect it straight from the view.
+        // And the server can unprotect the wire bytes.
         let mut server =
             OscoreEndpoint::new(SecurityContext::derive(secret, b"s", &[0x01], &[]), false);
-        let view = doc_coap::view::CoapView::parse(&wire).unwrap();
-        let (inner, _) = server.unprotect_request_view(&view).unwrap();
+        let outer = CoapMessage::decode(&wire).unwrap();
+        let (inner, _) = server.unprotect_request(&outer).unwrap();
         assert_eq!(inner.code, Code::GET);
         assert_eq!(inner.uri_path(), "/dns");
-    }
-
-    #[test]
-    fn unprotect_view_agrees_with_owned() {
-        let (mut client, mut server) = contexts();
-        let req = fetch_request();
-        let (outer, binding) = client.protect_request(&req).unwrap();
-        let wire = outer.encode();
-        let view = doc_coap::view::CoapView::parse(&wire).unwrap();
-        let (inner, s_binding) = server.unprotect_request_view(&view).unwrap();
-        assert_eq!(inner.code, Code::FETCH);
-        assert_eq!(inner.payload, req.payload);
-        assert_eq!(s_binding, binding);
-        // Replay protection also applies on the view path.
-        assert_eq!(
-            server.unprotect_request_view(&view),
-            Err(OscoreError::Replay)
-        );
-        // Response unprotection over a view.
-        let resp =
-            CoapMessage::ack_response(&inner, Code::CONTENT).with_payload(b"answer".to_vec());
-        let outer_resp = server.protect_response(&resp, &s_binding, &outer).unwrap();
-        let resp_wire = outer_resp.encode();
-        let resp_view = doc_coap::view::CoapView::parse(&resp_wire).unwrap();
-        let inner_resp = client
-            .unprotect_response_view(&resp_view, &binding)
-            .unwrap();
-        assert_eq!(inner_resp.payload, b"answer");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use doc_repro::coap::opt::{CoapOption, OptionNumber};
 use doc_repro::dns::{Message, Name, RecordType};
 use doc_repro::doc::method::{build_request, DocMethod};
 use doc_repro::doc::policy::CachePolicy;
-use doc_repro::doc::proxy::{CoapProxy, ProxyAction};
+use doc_repro::doc::proxy::{CoapProxy, ProxyScratch, WireAction};
 use doc_repro::doc::server::{DocServer, MockUpstream};
 
 fn fetch(name: &Name, mid: u16, token: u8) -> CoapMessage {
@@ -34,9 +34,16 @@ fn via_proxy(
     req: &CoapMessage,
     now: u64,
 ) -> (CoapMessage, bool) {
-    match proxy.handle_client_request(req, now) {
-        ProxyAction::Respond(resp) => (*resp, false),
-        ProxyAction::Forward {
+    let mut out = Vec::new();
+    let action = proxy
+        .serve_wire(&req.encode(), now, &mut ProxyScratch::default(), &mut out)
+        .expect("well-formed request");
+    match action {
+        WireAction::Responded => (
+            CoapMessage::decode(&out).expect("proxy reply decodes"),
+            false,
+        ),
+        WireAction::Forward {
             request,
             exchange_id,
         } => {

@@ -28,7 +28,7 @@ use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_coap::shard::{ShardedCache, ShardedResponseCache};
 use doc_core::method::{build_request, DocMethod};
 use doc_core::pool::SpmcRing;
-use doc_core::proxy::{CoapProxy, ProxyAction};
+use doc_core::proxy::{CoapProxy, ProxyScratch, WireAction};
 use doc_dns::{Message, Name, RecordType};
 
 /// One named model: a deterministic, self-contained body over the real
@@ -196,8 +196,9 @@ fn stats_snapshot() {
     let proxy = Arc::new(CoapProxy::with_shards(8, 2));
     let wire = doc_fetch_wire("a.example.org", 9);
     // Prime the cache single-threaded so both model threads hit.
-    match proxy.handle_client_request_wire(&wire, 0) {
-        Ok(ProxyAction::Forward {
+    let mut scratch = ProxyScratch::default();
+    match proxy.serve_wire(&wire, 0, &mut scratch, &mut Vec::new()) {
+        Ok(WireAction::Forward {
             request,
             exchange_id,
         }) => {
@@ -213,11 +214,11 @@ fn stats_snapshot() {
             let proxy = Arc::clone(&proxy);
             let wire = wire.clone();
             thread::spawn(move || {
-                let action = proxy.handle_client_request_wire(&wire, 1).expect("valid");
-                assert!(
-                    matches!(action, ProxyAction::Respond(_)),
-                    "primed entry must hit"
-                );
+                let mut scratch = ProxyScratch::default();
+                let action = proxy
+                    .serve_wire(&wire, 1, &mut scratch, &mut Vec::new())
+                    .expect("valid");
+                assert_eq!(action, WireAction::Responded, "primed entry must hit");
                 let snap = proxy.stats();
                 assert!(
                     snap.cache_hits <= snap.requests,

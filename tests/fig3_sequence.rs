@@ -8,7 +8,7 @@ use doc_repro::coap::opt::{CoapOption, OptionNumber};
 use doc_repro::dns::{Message, Name, RecordType};
 use doc_repro::doc::method::{build_request, DocMethod};
 use doc_repro::doc::policy::CachePolicy;
-use doc_repro::doc::proxy::{CoapProxy, ProxyAction};
+use doc_repro::doc::proxy::{CoapProxy, ProxyScratch, WireAction};
 use doc_repro::doc::server::{DocServer, MockUpstream};
 
 fn fetch(name: &Name, mid: u16, token: u8) -> CoapMessage {
@@ -45,9 +45,14 @@ impl Testbed {
 
     /// Returns (response, hit_proxy_cache).
     fn query(&mut self, req: &CoapMessage, now: u64) -> (CoapMessage, bool) {
-        match self.proxy.handle_client_request(req, now) {
-            ProxyAction::Respond(resp) => (*resp, true),
-            ProxyAction::Forward {
+        let mut out = Vec::new();
+        let action = self
+            .proxy
+            .serve_wire(&req.encode(), now, &mut ProxyScratch::default(), &mut out)
+            .expect("well-formed request");
+        match action {
+            WireAction::Responded => (CoapMessage::decode(&out).unwrap(), true),
+            WireAction::Forward {
                 request,
                 exchange_id,
             } => {

@@ -7,7 +7,7 @@ use doc_repro::check::sync::Arc;
 use doc_repro::check::{explore, thread, Config, FailureKind};
 use doc_repro::coap::shard::ShardedCache;
 use doc_repro::doc::pool::SpmcRing;
-use doc_repro::doc::proxy::{CoapProxy, ProxyAction};
+use doc_repro::doc::proxy::{CoapProxy, ProxyScratch, WireAction};
 
 /// Debug builds explore noticeably slower than the release-mode gate,
 /// so tier-1 uses a tighter (but still exhaustive for these bodies)
@@ -131,8 +131,9 @@ fn proxy_stats_snapshots_stay_coherent_under_concurrent_hits() {
     let report = explore(&cfg(), || {
         let proxy = Arc::new(CoapProxy::with_shards(8, 2));
         let wire = fetch_wire("a.example.org");
-        match proxy.handle_client_request_wire(&wire, 0) {
-            Ok(ProxyAction::Forward {
+        let mut scratch = ProxyScratch::default();
+        match proxy.serve_wire(&wire, 0, &mut scratch, &mut Vec::new()) {
+            Ok(WireAction::Forward {
                 request,
                 exchange_id,
             }) => {
@@ -158,8 +159,11 @@ fn proxy_stats_snapshots_stay_coherent_under_concurrent_hits() {
                 let proxy = Arc::clone(&proxy);
                 let wire = wire.clone();
                 thread::spawn(move || {
-                    let action = proxy.handle_client_request_wire(&wire, 1).expect("valid");
-                    assert!(matches!(action, ProxyAction::Respond(_)), "must hit");
+                    let mut scratch = ProxyScratch::default();
+                    let action = proxy
+                        .serve_wire(&wire, 1, &mut scratch, &mut Vec::new())
+                        .expect("valid");
+                    assert_eq!(action, WireAction::Responded, "must hit");
                     let snap = proxy.stats();
                     assert!(snap.cache_hits <= snap.requests, "incoherent: {snap:?}");
                 })

@@ -301,7 +301,7 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 1..64),
         segs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..4),
     ) {
-        use doc_repro::coap::cache::{cache_key, cache_key_view};
+        use doc_repro::coap::cache::{cache_key, cache_key_view_reusing};
         let mut msg = CoapMessage::request(Code::FETCH, MsgType::Con, 7, token);
         for s in segs {
             msg.options.push(CoapOption::new(OptionNumber::URI_PATH, s));
@@ -309,7 +309,7 @@ proptest! {
         msg.payload = payload;
         let wire = msg.encode();
         let view = CoapView::parse(&wire).unwrap();
-        prop_assert_eq!(cache_key_view(&view), cache_key(&msg));
+        prop_assert_eq!(cache_key_view_reusing(&view, Vec::new()), cache_key(&msg));
     }
 
     /// base64url round-trips arbitrary bytes (GET query encoding).
