@@ -498,6 +498,74 @@ mod tests {
         assert_eq!(server.stats().requests, 2);
     }
 
+    /// `serve_wire` threading one recycled [`ProxyScratch`] and one
+    /// reply buffer through a whole sequence must be observationally
+    /// identical to the wire entry point driven with fresh state per
+    /// request: byte-identical replies, same statistics, same upstream
+    /// traffic. Covers miss, hit, ETag-match `2.03`, POST pass-through,
+    /// a malformed datagram mid-sequence and a stale revalidation.
+    #[test]
+    fn serve_wire_matches_wire_entry_point() {
+        let mk = || (CoapProxy::new(8), doc_server(CachePolicy::EolTtls, 300));
+        let (p_ref, s_ref) = mk();
+        let (p_new, s_new) = mk();
+        let mut scratch = ProxyScratch::default();
+        let mut out = Vec::new();
+        // The ETag the client of request 3 already holds.
+        let (p_etag, s_etag) = mk();
+        let r1 = via_proxy(&p_etag, &s_etag, &fetch_req(1), 0);
+        let etag = r1.option(OptionNumber::ETAG).unwrap().value.clone();
+        let mut req3 = fetch_req(3);
+        req3.set_option(CoapOption::new(OptionNumber::ETAG, etag));
+        let post = build_request(
+            DocMethod::Post,
+            &query_bytes(),
+            MsgType::Con,
+            4,
+            vec![4, 0xCC],
+        )
+        .unwrap();
+        let reqs = [
+            (fetch_req(1), 0u64),
+            (fetch_req(2), 10_000),
+            (req3, 20_000),
+            (post, 21_000),
+            (fetch_req(5), 400_000),
+            (fetch_req(6), 401_000),
+        ];
+        for (i, (req, now)) in reqs.iter().enumerate() {
+            if i == 3 {
+                // A malformed datagram must leave the recycled state usable.
+                assert!(p_new
+                    .serve_wire(&[0xFF, 0x01], *now, &mut scratch, &mut out)
+                    .is_err());
+            }
+            match p_new
+                .serve_wire(&req.encode(), *now, &mut scratch, &mut out)
+                .unwrap()
+            {
+                WireAction::Responded => {}
+                WireAction::Forward {
+                    request,
+                    exchange_id,
+                } => {
+                    let up = s_new.handle_request(&request, *now);
+                    let reply = p_new
+                        .handle_upstream_response(exchange_id, &up, *now)
+                        .expect("known exchange");
+                    out.clear();
+                    reply.encode_into(&mut out);
+                }
+            }
+            let expect = via_proxy(&p_ref, &s_ref, req, *now);
+            assert_eq!(out, expect.encode(), "now {now}");
+        }
+        assert_eq!(p_new.stats(), p_ref.stats());
+        assert_eq!(p_new.stats().revalidations, 1, "stale path exercised");
+        assert_eq!(s_new.stats().requests, s_ref.stats().requests);
+        assert_eq!(p_new.cache_stats(), p_ref.cache_stats());
+    }
+
     #[test]
     fn stale_entry_revalidates_eol() {
         let proxy = CoapProxy::new(8);
