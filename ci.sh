@@ -20,9 +20,9 @@
 #                    # a no-collapse bound below — the >=2x bound stays
 #                    # dormant on smaller runners but is always present
 #                    # in the v5 schema), the zero-alloc pool gate
-#                    # (allocs_per_req < 1 on the 4-worker CoAP sim
-#                    # path and on every doq/doh/dot row, always
-#                    # enforced),
+#                    # (allocs_per_req < 1 on the 4-worker CoAP
+#                    # replay-harness row, run_io fed from memory, and
+#                    # on every doq/doh/dot row, always enforced),
 #                    # the congested-bottleneck recovery gate (all
 #                    # three congestion controllers' rows present and
 #                    # both adaptive p99s below the fixed-RTO oracle;

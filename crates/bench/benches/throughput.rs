@@ -1,11 +1,12 @@
 //! Multi-worker proxy throughput bench: the scale-out companion of the
 //! `encode` codec bench.
 //!
-//! Replays the DoC query mix closed-loop through the sharded
+//! Replays the DoC query mix closed-loop through `ProxyPool::run_io`
+//! (fed by the in-memory `ReplayProvider`) into the sharded
 //! proxy/server behind the SPMC-ring worker pool at 1/2/4/8 workers,
 //! adds one row per stream transport (DoQ/DoH/DoT framing over the
 //! same pool), prints a summary table, and emits `BENCH_proxy.json`
-//! (schema `doc-bench/proxy/v3`, path overridable via
+//! (schema `doc-bench/proxy/v5`, path overridable via
 //! `BENCH_PROXY_JSON`) for the `bench_gate` CI check. The artifact
 //! also carries one congested-bottleneck `recovery` row per
 //! congestion controller (fixed_rto / cubic / bbr_lite), produced by

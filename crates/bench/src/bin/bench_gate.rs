@@ -15,7 +15,8 @@
 //! * `proxy PATH` — validate a `doc-bench/proxy/v5` artifact
 //!   (schema + 1/2/4/8-worker CoAP rows + doq/doh/dot rows +
 //!   percentile sanity + the zero-alloc bound `allocs_per_req < 1`
-//!   on the 4-worker CoAP sim-path row and every doq/doh/dot row +
+//!   on the 4-worker CoAP replay-harness row (`run_io` fed by the
+//!   in-memory replay) and every doq/doh/dot row +
 //!   the congested-bottleneck `recovery` rows: all three congestion
 //!   controllers present, both adaptive controllers' p99 below the
 //!   fixed-RTO oracle's).

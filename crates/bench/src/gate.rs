@@ -20,8 +20,9 @@
 //!   loss) is always enforced — the scenario is virtual-time
 //!   deterministic, so the bound is machine-independent. The
 //!   zero-alloc gate — `allocs_per_req < 1` on the 4-worker CoAP
-//!   (sim-path) row and on every doq/doh/dot row — is always
-//!   enforced: buffer recycling is not a machine property. The worker-scaling gate is optional; its
+//!   replay-harness row (`run_io` fed by the in-memory replay) and on
+//!   every doq/doh/dot row — is always enforced: buffer recycling is
+//!   not a machine property. The worker-scaling gate is optional; its
 //!   required 4-vs-1 speedup depends on how many cores the measuring
 //!   machine actually had (recorded in the artifact): a 1-core
 //!   container cannot prove a parallel speedup, only that the pool
@@ -125,7 +126,7 @@ pub struct ProxyRow {
     pub workers: u32,
     /// Closed-loop throughput.
     pub req_per_s: f64,
-    /// Median sojourn latency (enqueue → reply), microseconds.
+    /// Median sojourn latency (hand-off → send), microseconds.
     pub p50_us: f64,
     /// 99th-percentile sojourn latency, microseconds.
     pub p99_us: f64,
@@ -256,9 +257,10 @@ pub fn parse_proxy(doc: &Json) -> Result<(Vec<ProxyRow>, Vec<RecoveryRow>, u32),
     Ok((rows, recovery, cores))
 }
 
-/// Allocations-per-request ceiling on the 4-worker CoAP (sim-path)
-/// row and on every DoQ/DoH/DoT row: the recycled-buffer pool path
-/// must stay below one heap allocation per request in steady state.
+/// Allocations-per-request ceiling on the 4-worker CoAP replay-harness
+/// row and on every DoQ/DoH/DoT row: `run_io`, fed by the in-memory
+/// replay, must stay below one heap allocation per request in steady
+/// state.
 pub const MAX_ALLOCS_PER_REQ: f64 = 1.0;
 
 /// Validate `BENCH_proxy.json`; with `require_scaling`, also enforce
@@ -268,20 +270,20 @@ pub const MAX_ALLOCS_PER_REQ: f64 = 1.0;
 /// ordering — both adaptive controllers beat the fixed-RTO oracle's
 /// p99 under loss (deterministic virtual time) — and the zero-alloc
 /// gate — `allocs_per_req <` [`MAX_ALLOCS_PER_REQ`] on the 4-worker
-/// CoAP sim-path row and on every stream-transport row (buffer
+/// CoAP replay-harness row and on every stream-transport row (buffer
 /// recycling and the borrowed-view serve path either work or they
 /// don't). Returns a human-readable summary on success.
 pub fn check_proxy(doc: &Json, require_scaling: bool) -> Result<String, String> {
     let (rows, recovery, cores) = parse_proxy(doc)?;
-    let sim_row = rows
+    let replay_row = rows
         .iter()
         .find(|r| r.transport == "coap" && r.workers == 4)
         .expect("presence checked in parse_proxy");
-    if sim_row.allocs_per_req >= MAX_ALLOCS_PER_REQ {
+    if replay_row.allocs_per_req >= MAX_ALLOCS_PER_REQ {
         return Err(format!(
-            "zero-alloc gate failed: coap 4-worker allocs_per_req {} >= {MAX_ALLOCS_PER_REQ} \
-             (the recycled pool path must not allocate per request)",
-            sim_row.allocs_per_req
+            "zero-alloc gate failed: coap 4-worker replay-harness allocs_per_req {} >= \
+             {MAX_ALLOCS_PER_REQ} (run_io must not allocate per request)",
+            replay_row.allocs_per_req
         ));
     }
     for row in rows
@@ -334,7 +336,7 @@ pub fn check_proxy(doc: &Json, require_scaling: bool) -> Result<String, String> 
         recovery.len(),
         p99("cubic"),
         p99("bbr_lite"),
-        sim_row.allocs_per_req
+        replay_row.allocs_per_req
     );
     if require_scaling {
         let required = required_scaling(cores);
@@ -773,9 +775,9 @@ mod tests {
     }
 
     #[test]
-    fn proxy_gate_enforces_zero_alloc_on_sim_path() {
-        // The 4-worker coap row is the sim-path measurement: at or
-        // above 1 alloc/req the recycling pass has regressed, and the
+    fn proxy_gate_enforces_zero_alloc_on_replay_harness() {
+        // The 4-worker coap row is the replay-harness measurement: at
+        // or above 1 alloc/req buffer recycling has regressed, and the
         // gate fails regardless of the scaling flag.
         let doc = proxy_doc(4, 100_000.0, 250_000.0);
         let coap4 = r#""transport": "coap", "workers": 4, "req_per_s": 250000, "p50_us": 10.0, "p99_us": 50.0, "allocs_per_req": 0.5"#;

@@ -2,27 +2,30 @@
 //!
 //! Replays the paper's DoC query mix (FETCH-dominant with a GET
 //! minority, A/AAAA answers, names drawn from the experiment name
-//! shape of Table 3) against the multi-worker front-end
-//! ([`doc_core::pool::ProxyPool`]): the calling thread feeds
-//! pre-encoded request datagrams into the bounded SPMC ring, N workers
-//! run the sans-IO view path against the sharded proxy/server, and the
-//! load is *closed-loop* — in-flight requests are bounded by the ring
-//! capacity, so the system is measured at saturation without unbounded
-//! queueing.
+//! shape of Table 3) through the path that ships: the multi-worker
+//! front-end's pump ([`ProxyPool::run_io`]) fed by an in-memory
+//! [`ReplayProvider`]. The pump copies pre-encoded request datagrams
+//! into recycled slot buffers and pushes them into the bounded SPMC
+//! ring, N workers run the sans-IO view path against the sharded
+//! proxy/server, and the load is *closed-loop* — in-flight requests
+//! are bounded by the ring capacity, so the system is measured at
+//! saturation without unbounded queueing.
 //!
-//! Reported per run: requests/s, p50/p99 sojourn latency (ring enqueue
-//! → reply), heap allocations per request (the caller supplies the
-//! allocation counter, since the counting `#[global_allocator]` must
-//! live in the final binary), and the proxy cache hit rate.
+//! Reported per run: requests/s, p50/p99 sojourn latency (hand-off to
+//! the pump → reply handed back to the provider), heap allocations
+//! per request (the caller supplies the allocation counter, since the
+//! counting `#[global_allocator]` must live in the final binary), and
+//! the proxy cache hit rate.
 
 use doc_core::policy::CachePolicy;
-use doc_core::pool::{Datagram, ProxyPool, ServeMode};
+use doc_core::pool::{Datagram, ProxyPool, Reply, ServeMode};
 use doc_core::server::{DocServer, MockUpstream};
 use doc_core::transport::experiment_name;
-use doc_core::{CoapProxy, DocMethod};
+use doc_core::{CoapProxy, DocMethod, ReplayProvider};
 use doc_dns::{Message, RecordType};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use doc_netsim::Millis;
+use std::cell::Cell;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of one throughput run.
@@ -78,7 +81,7 @@ pub struct ThroughputRow {
     pub elapsed_ns: u64,
     /// Closed-loop throughput.
     pub req_per_s: f64,
-    /// Median sojourn latency (ring enqueue → reply), microseconds.
+    /// Median sojourn latency (hand-off → send), microseconds.
     pub p50_us: f64,
     /// 99th-percentile sojourn latency, microseconds.
     pub p99_us: f64,
@@ -147,6 +150,9 @@ pub fn build_mix(spec: &LoadSpec, upstream: &MockUpstream) -> QueryMix {
     QueryMix { wires }
 }
 
+/// Receive slots the pump fills per `recv_batch` in [`run_load`].
+const RECV_SLOTS: usize = 32;
+
 /// Percentile (nearest-rank) of an unsorted latency sample, in µs.
 fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
     if sorted_ns.is_empty() {
@@ -176,18 +182,12 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         upstream,
         spec.shards,
     ));
-    // The wire-buffer recycling loop: workers return every spent
-    // `Datagram::wire` here and the producer takes them back instead
-    // of allocating — after warmup the closed loop runs on a fixed
-    // set of buffers (this is what holds `allocs_per_req` below 1).
-    let recycle = Arc::new(doc_core::BufferPool::new());
     let pool = ProxyPool::with_mode(
         spec.workers,
         Arc::clone(&proxy),
         Arc::clone(&server),
         spec.mode,
-    )
-    .with_wire_recycling(Arc::clone(&recycle));
+    );
 
     // Prime: every mix entry once, single-threaded.
     let mut scratch = Vec::new();
@@ -211,47 +211,32 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         _ => server.upstream.cache_hits(),
     };
 
-    // Measured closed-loop window.
+    // Measured closed-loop window. Hand-off and send both happen on
+    // the pump thread, so the timestamps need no synchronisation.
     let total = spec.total_requests;
-    let enqueue_ns: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
-    // Full capacity per bucket: one worker can take a whole
-    // 128-datagram grab at a time and end up recording most of the run,
-    // and a mid-window realloc would both skew latency and count
-    // against `allocs_per_req`.
-    let latency_buckets: Vec<Mutex<Vec<u64>>> = (0..spec.workers)
-        .map(|_| Mutex::new(Vec::with_capacity(total as usize)))
-        .collect();
+    let mut handed_ns = vec![0u64; total as usize];
+    let handed = Cell::from_mut(&mut handed_ns[..]).as_slice_of_cells();
+    let mut latencies: Vec<u64> = Vec::with_capacity(total as usize);
     let epoch = Instant::now();
     let allocs_before = alloc_count();
-    let stats = pool.run(
+    let requests = (0..total).map(|seq| {
+        handed[seq as usize].set(epoch.elapsed().as_nanos() as u64);
+        let wire = &mix.wires[(seq % mix.wires.len() as u64) as usize];
+        (seq % 64, doc_netsim::Instant::from_millis(1), wire)
+    });
+    let mut provider = ReplayProvider::new(requests, |reply: &Reply| {
+        let done = epoch.elapsed().as_nanos() as u64;
+        latencies.push(done.saturating_sub(handed[reply.seq as usize].get()));
+    });
+    let stats = pool.run_io(
+        &mut provider,
         spec.concurrency,
-        (0..total).map(|seq| {
-            enqueue_ns[seq as usize].store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            let mut wire = recycle.take();
-            wire.extend_from_slice(&mix.wires[(seq % mix.wires.len() as u64) as usize]);
-            Datagram {
-                peer: seq % 64,
-                seq,
-                at: doc_netsim::Instant::from_millis(1),
-                wire,
-            }
-        }),
-        &|reply| {
-            let done = epoch.elapsed().as_nanos() as u64;
-            let enq = enqueue_ns[reply.seq as usize].load(Ordering::Relaxed);
-            latency_buckets[reply.worker]
-                .lock()
-                .unwrap()
-                .push(done.saturating_sub(enq));
-        },
+        RECV_SLOTS,
+        Millis::from_millis(1),
     );
     let elapsed = epoch.elapsed();
     let allocs = alloc_count().saturating_sub(allocs_before);
 
-    let mut latencies: Vec<u64> = Vec::with_capacity(total as usize);
-    for b in &latency_buckets {
-        latencies.append(&mut b.lock().unwrap());
-    }
     latencies.sort_unstable();
     let hits = match spec.mode {
         ServeMode::Coap => proxy.cache_stats().hits,

@@ -20,7 +20,7 @@ use crate::msg::{encode_raw_option_into, CoapMessage, Code, MsgType};
 use crate::opt::{CoapOption, OptionNumber};
 use crate::shard::{BuildPassThrough, Fnv1a};
 use crate::view::CoapView;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// A computed cache key: opaque bytes plus their FNV-1a hash, computed
 /// once at derivation time. The hash does double duty — it selects the
@@ -204,7 +204,8 @@ pub struct CacheStats {
 /// fixed-size caches of `CONFIG_NANOCOAP_CACHE_ENTRIES` in Table 6).
 pub struct ResponseCache {
     entries: HashMap<CacheKey, Entry, BuildPassThrough>,
-    order: Vec<CacheKey>,
+    /// Keys in insertion order, oldest first: the eviction queue.
+    order: VecDeque<CacheKey>,
     capacity: usize,
     stats: CacheStats,
 }
@@ -215,7 +216,7 @@ impl ResponseCache {
     pub fn new(capacity: usize) -> Self {
         ResponseCache {
             entries: HashMap::default(),
-            order: Vec::new(),
+            order: VecDeque::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
         }
@@ -336,11 +337,12 @@ impl ResponseCache {
         if !self.entries.contains_key(&key) {
             if self.entries.len() >= self.capacity {
                 // FIFO eviction.
-                let victim = self.order.remove(0);
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
+                if let Some(victim) = self.order.pop_front() {
+                    self.entries.remove(&victim);
+                    self.stats.evictions += 1;
+                }
             }
-            self.order.push(key.clone());
+            self.order.push_back(key.clone());
         }
         self.entries.insert(
             key,

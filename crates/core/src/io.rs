@@ -4,6 +4,9 @@
 //! consumes [`Datagram`]s and emits [`Reply`]s. An [`IoProvider`] is
 //! where those datagrams come from and where the replies go:
 //!
+//! * [`ReplayProvider`] replays a caller-given request sequence from
+//!   memory and hands every reply to a caller closure — the
+//!   closed-loop throughput harness (`doc-bench`) and the pool tests.
 //! * [`SimProvider`] feeds the pool from a `doc-netsim` event drain,
 //!   so the paper's simulated workloads run through the *same* worker
 //!   code as production traffic — and stay bit-identical, because the
@@ -21,20 +24,28 @@
 //! seam. Deadlines are [`Millis`]-typed; providers never see protocol
 //! state.
 //!
-//! [`ProxyPool::run_io`] is the pump: it turns a provider into the
-//! pool's datagram iterator (the calling thread alternates
-//! `send_batch` flushes and `recv_batch` fills) and routes every
-//! worker reply back out through the provider.
+//! [`ProxyPool::run_io`] is the pump and the only way to drive the
+//! workers. The calling thread alternates `send_batch` flushes of the
+//! workers' outbox and `recv_batch` fills pushed into the injector
+//! ring. Buffers circulate instead of being allocated: a received
+//! wire becomes a worker's spare reply buffer, a sent reply's wire
+//! becomes a spare the pump leaves in an empty [`RecvSlot`], and a
+//! provider may receive into it.
 
-use crate::pool::{Datagram, PoolRunStats, ProxyPool, Reply};
+use crate::pool::{CloseGuard, Datagram, Outbox, PoolRunStats, ProxyPool, Reply, SpmcRing};
+use doc_check::sync::Mutex;
 use doc_netsim::{NodeId, Sim, SimEvent, Tag};
 use doc_time::{Instant, Millis};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::Mutex;
 
 /// One receive slot a provider fills: `recv_batch` writes at most one
 /// datagram per slot, front-to-back.
+///
+/// Before each `recv_batch`, [`ProxyPool::run_io`] leaves a spent
+/// datagram with an empty `wire` in every slot; a provider may receive
+/// into that buffer instead of allocating one, or replace the datagram
+/// outright.
 #[derive(Debug, Default)]
 pub struct RecvSlot {
     /// The received datagram, if this slot was filled.
@@ -47,13 +58,78 @@ pub trait IoProvider {
     /// Fill `slots` front-to-back with received datagrams, waiting up
     /// to `timeout` for the first one. Returns the number of slots
     /// filled; 0 means the source is idle (timeout expired or the
-    /// workload is exhausted) and ends a [`ProxyPool::run_io`] pump.
+    /// workload is exhausted) and ends a [`ProxyPool::run_io`] pump
+    /// once no reply is in flight.
     fn recv_batch(&mut self, slots: &mut [RecvSlot], timeout: Millis) -> usize;
 
     /// Send a batch of replies back to their peers. Replies whose
     /// `wire` is `None` (dropped datagrams) are skipped. Returns the
     /// number actually sent.
     fn send_batch(&mut self, replies: &[Reply]) -> usize;
+}
+
+/// The slot's datagram with its wire cleared: the spent datagram
+/// [`ProxyPool::run_io`] left there, or a new empty one.
+fn slot_wire(slot: &mut RecvSlot) -> &mut Datagram {
+    let d = slot.datagram.get_or_insert_with(Datagram::default);
+    d.wire.clear();
+    d
+}
+
+/// [`IoProvider`] over memory: replays a request sequence into the
+/// slot buffers and hands every reply — dropped ones too, with no
+/// `wire` — to a closure on the pump thread. Requests are numbered
+/// 0, 1, … in replay order as their `seq`. Once the sequence is
+/// exhausted `recv_batch` yields the thread and reports idle.
+pub struct ReplayProvider<I, F> {
+    requests: I,
+    seq: u64,
+    on_reply: F,
+}
+
+impl<I, F> ReplayProvider<I, F> {
+    /// Replay `requests`, `(peer, at, wire)` triples, and hand each
+    /// reply to `on_reply`.
+    pub fn new<R: IntoIterator<IntoIter = I>>(requests: R, on_reply: F) -> Self {
+        ReplayProvider {
+            requests: requests.into_iter(),
+            seq: 0,
+            on_reply,
+        }
+    }
+}
+
+impl<I, W, F> IoProvider for ReplayProvider<I, F>
+where
+    I: Iterator<Item = (u64, Instant, W)>,
+    W: AsRef<[u8]>,
+    F: FnMut(&Reply),
+{
+    fn recv_batch(&mut self, slots: &mut [RecvSlot], _timeout: Millis) -> usize {
+        let mut n = 0;
+        for slot in slots.iter_mut() {
+            let Some((peer, at, wire)) = self.requests.next() else {
+                break;
+            };
+            let d = slot_wire(slot);
+            d.wire.extend_from_slice(wire.as_ref());
+            d.peer = peer;
+            d.seq = self.seq;
+            d.at = at;
+            self.seq += 1;
+            n += 1;
+        }
+        if n == 0 {
+            // Nothing left to replay: let the workers finish.
+            std::thread::yield_now();
+        }
+        n
+    }
+
+    fn send_batch(&mut self, replies: &[Reply]) -> usize {
+        replies.iter().for_each(&mut self.on_reply);
+        replies.iter().filter(|r| r.wire.is_some()).count()
+    }
 }
 
 /// [`IoProvider`] over a `doc-netsim` simulation: events addressed to
@@ -149,14 +225,15 @@ impl IoProvider for SimProvider<'_> {
 }
 
 /// Largest datagram the UDP provider accepts (CoAP over UDP fits
-/// comfortably; anything bigger is truncated by the socket and will
-/// fail parsing downstream like any other malformed datagram).
+/// comfortably). A longer one is dropped, never truncated: it is
+/// received into a buffer one byte larger, which tells the two apart.
 const UDP_RECV_BUF: usize = 2048;
 
 /// [`IoProvider`] over a real [`std::net::UdpSocket`]: block for the
 /// first datagram (up to the deadline), then drain whatever else the
 /// socket already holds without blocking — a `recvmmsg`-shaped batch
-/// per wakeup.
+/// per wakeup. Each datagram is received straight into its slot's
+/// buffer.
 ///
 /// Peers are keyed by source address: the first datagram from an
 /// address allocates the next peer id, and replies are routed back by
@@ -172,7 +249,6 @@ pub struct UdpProvider {
     peer_ids: HashMap<SocketAddr, u64>,
     seq: u64,
     at: Instant,
-    buf: [u8; UDP_RECV_BUF],
 }
 
 impl UdpProvider {
@@ -185,7 +261,6 @@ impl UdpProvider {
             peer_ids: HashMap::new(),
             seq: 0,
             at: Instant::EPOCH,
-            buf: [0u8; UDP_RECV_BUF],
         })
     }
 
@@ -213,45 +288,49 @@ impl UdpProvider {
         }
     }
 
-    fn slot_from(&mut self, len: usize, addr: SocketAddr) -> Datagram {
-        let seq = self.seq;
-        self.seq += 1;
-        Datagram {
-            peer: self.peer_id(addr),
-            seq,
-            at: self.at,
-            wire: self.buf[..len].to_vec(),
+    /// Receive one datagram into `slot`, skipping any longer than
+    /// [`UDP_RECV_BUF`]. Returns `false` once the socket has nothing
+    /// (timeout, would-block or an error).
+    fn recv_into(&mut self, slot: &mut RecvSlot) -> bool {
+        let d = slot_wire(slot);
+        loop {
+            d.wire.resize(UDP_RECV_BUF + 1, 0);
+            let Ok((len, addr)) = self.socket.recv_from(&mut d.wire) else {
+                d.wire.clear();
+                return false;
+            };
+            if len > UDP_RECV_BUF {
+                continue;
+            }
+            d.wire.truncate(len);
+            d.peer = self.peer_id(addr);
+            d.seq = self.seq;
+            d.at = self.at;
+            self.seq += 1;
+            return true;
         }
     }
 }
 
 impl IoProvider for UdpProvider {
     fn recv_batch(&mut self, slots: &mut [RecvSlot], timeout: Millis) -> usize {
-        if slots.is_empty() {
+        let Some((first, rest)) = slots.split_first_mut() else {
             return 0;
-        }
+        };
         // Blocking wait (bounded by the deadline) for the first
         // datagram of the batch.
         let wait = std::time::Duration::from_millis(timeout.as_millis().max(1));
-        if self.socket.set_read_timeout(Some(wait)).is_err() {
+        if self.socket.set_read_timeout(Some(wait)).is_err() || !self.recv_into(first) {
             return 0;
         }
-        let first = match self.socket.recv_from(&mut self.buf) {
-            Ok((len, addr)) => self.slot_from(len, addr),
-            Err(_) => return 0, // timeout / interrupted → idle
-        };
-        slots[0].datagram = Some(first);
         let mut n = 1;
         // Non-blocking drain of whatever is already queued.
         if self.socket.set_nonblocking(true).is_ok() {
-            while n < slots.len() {
-                match self.socket.recv_from(&mut self.buf) {
-                    Ok((len, addr)) => {
-                        slots[n].datagram = Some(self.slot_from(len, addr));
-                        n += 1;
-                    }
-                    Err(_) => break,
+            for slot in rest {
+                if !self.recv_into(slot) {
+                    break;
                 }
+                n += 1;
             }
             let _ = self.socket.set_nonblocking(false);
         }
@@ -281,6 +360,9 @@ impl ProxyPool {
     /// injector of `ring_capacity` slots. Returns once the provider
     /// reports idle (a `recv_batch` of 0) and every in-flight datagram
     /// has been served and flushed back out.
+    ///
+    /// A panic in the provider or in a worker closes the injector, so
+    /// the others stop and the panic propagates out of this call.
     pub fn run_io<P: IoProvider>(
         &self,
         provider: &mut P,
@@ -288,68 +370,84 @@ impl ProxyPool {
         slots: usize,
         recv_timeout: Millis,
     ) -> PoolRunStats {
-        let outbox: Mutex<Vec<Reply>> = Mutex::new(Vec::new());
-        let mut slot_buf: Vec<RecvSlot> = Vec::new();
-        slot_buf.resize_with(slots.max(1), RecvSlot::default);
-        let mut pending: VecDeque<Datagram> = VecDeque::new();
-        let stats = {
-            let outbox = &outbox;
-            let provider = &mut *provider;
-            let slot_buf = &mut slot_buf;
-            let pending = &mut pending;
-            // In-flight ledger: datagrams yielded to the pool minus
-            // replies drained from the outbox. A recv timeout with
-            // exchanges still in flight means the peers may be waiting
-            // on *us* (serial clients), so keep flushing instead of
-            // declaring the source idle.
-            let mut yielded: u64 = 0;
-            let mut drained: u64 = 0;
-            let feed = std::iter::from_fn(move || loop {
-                if let Some(d) = pending.pop_front() {
-                    yielded += 1;
-                    return Some(d);
-                }
-                // Flush finished replies before blocking in recv — a
-                // serial client is waiting for them before it sends
-                // its next query.
-                let ready = std::mem::take(&mut *outbox.lock().unwrap());
-                drained += ready.len() as u64;
-                if !ready.is_empty() {
-                    provider.send_batch(&ready);
-                }
-                // While replies are still in flight, poll with a short
-                // wait so a finished reply gets flushed promptly — a
-                // serial peer won't send again until it lands. Only a
-                // fully-flushed pump waits out the real deadline.
-                let wait = if drained < yielded {
-                    Millis::from_millis(1).min(recv_timeout)
-                } else {
-                    recv_timeout
-                };
-                let n = provider.recv_batch(slot_buf, wait);
-                if n == 0 {
-                    if drained < yielded {
-                        continue;
-                    }
-                    return None;
-                }
-                for slot in slot_buf.iter_mut().take(n) {
-                    if let Some(d) = slot.datagram.take() {
-                        pending.push_back(d);
-                    }
-                }
-            });
-            self.run(ring_capacity, feed, &|r| {
-                outbox.lock().unwrap().push(r.clone())
-            })
-        };
-        // The workers finished after the provider went idle; flush the
-        // tail of replies.
-        let ready = std::mem::take(&mut *outbox.lock().unwrap());
-        if !ready.is_empty() {
-            provider.send_batch(&ready);
-        }
+        let injector: SpmcRing<Datagram> = SpmcRing::new(ring_capacity);
+        let outbox = Mutex::new(Outbox::default());
+        std::thread::scope(|scope| {
+            // Closes the injector when the pump returns or unwinds, so
+            // the workers drain it and the scope can join them.
+            let _close_guard = CloseGuard(&injector);
+            for _ in 0..self.workers() {
+                scope.spawn(|| self.work(&injector, &outbox));
+            }
+            pump(provider, &injector, &outbox, slots, recv_timeout);
+        });
+        let stats = std::mem::take(&mut outbox.lock().unwrap().stats);
         stats
+    }
+}
+
+/// The pump loop of [`ProxyPool::run_io`] on the calling thread.
+fn pump<P: IoProvider>(
+    provider: &mut P,
+    injector: &SpmcRing<Datagram>,
+    outbox: &Mutex<Outbox>,
+    slots: usize,
+    recv_timeout: Millis,
+) {
+    let mut slots: Vec<RecvSlot> = (0..slots.max(1)).map(|_| RecvSlot::default()).collect();
+    // Swapped with the outbox's reply list on every flush, so both
+    // keep their capacity.
+    let mut sending: Vec<Reply> = Vec::new();
+    // Sent replies' wires, waiting to become receive buffers.
+    let mut spares: Vec<Vec<u8>> = Vec::new();
+    // Datagrams pushed into the injector minus replies flushed. A recv
+    // timeout with exchanges still in flight means the peers may be
+    // waiting on *us* (serial clients), so keep flushing instead of
+    // declaring the source idle.
+    let mut in_flight: usize = 0;
+    loop {
+        // Flush finished replies before blocking in recv — a serial
+        // client is waiting for them before it sends its next query.
+        std::mem::swap(&mut outbox.lock().unwrap().replies, &mut sending);
+        if !sending.is_empty() {
+            in_flight -= sending.len();
+            provider.send_batch(&sending);
+            spares.extend(sending.drain(..).filter_map(|r| r.wire));
+        }
+        for slot in &mut slots {
+            let d = slot.datagram.get_or_insert_with(|| Datagram {
+                wire: spares.pop().unwrap_or_default(),
+                ..Datagram::default()
+            });
+            d.wire.clear();
+        }
+        // While replies are still in flight, poll with a short wait so
+        // a finished reply gets flushed promptly — a serial peer won't
+        // send again until it lands. Only a fully-flushed pump waits
+        // out the real deadline.
+        let wait = if in_flight > 0 {
+            Millis::from_millis(1).min(recv_timeout)
+        } else {
+            recv_timeout
+        };
+        let n = provider.recv_batch(&mut slots, wait);
+        if n == 0 {
+            // A closed injector means a worker panicked: stop, so the
+            // scope joins it and propagates the panic.
+            if in_flight == 0 || injector.is_closed() {
+                return;
+            }
+            continue;
+        }
+        for slot in slots.iter_mut().take(n) {
+            let Some(d) = slot.datagram.take() else {
+                continue;
+            };
+            if injector.push(d).is_err() {
+                return;
+            }
+            in_flight += 1;
+        }
     }
 }
 
@@ -461,5 +559,48 @@ mod tests {
             let v = doc_coap::view::CoapView::parse(wire).unwrap();
             assert_eq!(v.message_id, seq as u16, "reply for query {seq}");
         }
+    }
+
+    /// A datagram longer than the receive limit is dropped whole, not
+    /// truncated to the limit and served as if it were complete.
+    #[test]
+    fn udp_provider_drops_oversized_datagrams() {
+        let pool = pool(1);
+        let mut provider = UdpProvider::bind("127.0.0.1:0")
+            .unwrap()
+            .with_virtual_time(Instant::from_millis(1));
+        let server_addr = provider.local_addr().unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let handle = std::thread::spawn(move || {
+            // A valid query padded to 3000 bytes: its first 2048 bytes
+            // start like a request.
+            let mut big = fetch_wire("b.example.org", 7);
+            big.resize(3000, 0);
+            client.send_to(&big, server_addr).unwrap();
+            client
+                .send_to(&fetch_wire("a.example.org", 1), server_addr)
+                .unwrap();
+            let mut buf = [0u8; 4096];
+            let mut replies = Vec::new();
+            client
+                .set_read_timeout(Some(std::time::Duration::from_millis(2000)))
+                .unwrap();
+            let (len, _) = client.recv_from(&mut buf).unwrap();
+            replies.push(buf[..len].to_vec());
+            client
+                .set_read_timeout(Some(std::time::Duration::from_millis(200)))
+                .unwrap();
+            if let Ok((len, _)) = client.recv_from(&mut buf) {
+                replies.push(buf[..len].to_vec());
+            }
+            replies
+        });
+        let stats = pool.run_io(&mut provider, 8, 4, Millis::from_millis(500));
+        let replies = handle.join().unwrap();
+        assert_eq!(stats.processed, 1);
+        assert_eq!(stats.replies, 1);
+        assert_eq!(replies.len(), 1, "only the valid query is answered");
+        let v = doc_coap::view::CoapView::parse(&replies[0]).unwrap();
+        assert_eq!(v.message_id, 1);
     }
 }

@@ -46,10 +46,10 @@ pub mod ttl_integrity;
 pub mod uri_template;
 
 pub use client::DocClient;
-pub use io::{IoProvider, RecvSlot, SimProvider, UdpProvider};
+pub use io::{IoProvider, RecvSlot, ReplayProvider, SimProvider, UdpProvider};
 pub use method::DocMethod;
 pub use policy::CachePolicy;
-pub use pool::{BufferPool, Datagram, ProxyPool, Reply, SpmcRing};
+pub use pool::{Datagram, ProxyPool, Reply, SpmcRing};
 pub use proxy::CoapProxy;
 pub use server::{DocServer, MockUpstream};
 

@@ -8,7 +8,7 @@
 //! leg and [`DocServer::handle_request_wire`] for the origin leg, or,
 //! in the DoQ/DoH/DoT [`ServeMode`]s, an unframe → [`MessageView`] →
 //! [`MockUpstream::resolve_into`] → frame pass that writes the reply
-//! straight into the worker's slab — against state that is
+//! straight into the worker's reply buffer — against state that is
 //! lock-striped per shard ([`doc_coap::shard`]). Nothing in the
 //! protocol logic knows it is being run concurrently.
 //!
@@ -20,15 +20,17 @@
 //!   condvar while it is empty.
 //! * [`ProxyPool`] — N workers sharing one `Arc<CoapProxy>` and one
 //!   `Arc<DocServer>`; each datagram runs the full client → proxy →
-//!   (origin, on a cache miss) → client exchange and the reply is
-//!   handed to a caller-supplied sink as a *borrowed* [`Reply`] — the
-//!   worker retains the reply buffer, so the steady-state serve loop
-//!   allocates nothing (see `BENCH_proxy.json`'s `allocs_per_req`).
+//!   (origin, on a cache miss) → client exchange. A worker serves a
+//!   whole drain, then moves its replies into the pump's outbox under
+//!   one lock: each reply takes the worker's spare buffer, and the
+//!   request's wire becomes the next spare, so buffers circulate
+//!   instead of being allocated (see `BENCH_proxy.json`'s
+//!   `allocs_per_req`).
 //!
-//! The ring is transport-agnostic: the closed-loop throughput harness
-//! (`doc-bench`) feeds it from a replayed query mix, and the
-//! [`crate::io`] providers feed it from `doc-netsim` drains or real
-//! UDP sockets through the identical worker code.
+//! [`ProxyPool::run_io`] (in [`crate::io`]) is the one way to drive
+//! the workers: the calling thread pumps an [`crate::io::IoProvider`]
+//! — a replayed query mix, a `doc-netsim` drain or a real UDP socket —
+//! into the ring and the outbox back out through the same provider.
 //!
 //! [`MockUpstream::resolve_into`]: crate::server::MockUpstream::resolve_into
 
@@ -41,7 +43,6 @@ use doc_quic::doq;
 // they are passthroughs to `std::sync`, inside one every operation is
 // a scheduling point — so `check_gate` explores the interleavings of
 // *this* ring, not a copy (see `crates/check`).
-use doc_check::sync::atomic::{AtomicU64, Ordering};
 use doc_check::sync::{Arc, Condvar, Mutex};
 
 /// What wire format the pool's workers speak.
@@ -50,7 +51,7 @@ use doc_check::sync::{Arc, Condvar, Mutex};
 /// paper's DoC deployment). The stream modes serve the DoQ/DoH/DoT
 /// application layer — unframe the DNS message in place, resolve the
 /// borrowed [`MessageView`] against the origin's upstream straight
-/// into wire bytes, frame the response into the reply slab — which is
+/// into wire bytes, frame the response into the reply buffer — which is
 /// the per-request hot path those transports add on top of QUIC-lite
 /// (connection crypto is per-session, not per-request, and is measured
 /// by the `doc-quic` crate itself). Like the CoAP mode, it allocates
@@ -229,67 +230,18 @@ impl<T> SpmcRing<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-}
 
-/// A shared free-list of byte buffers — the allocation-recycling link
-/// between a producer that must give each [`Datagram`] an owned
-/// `wire` and the workers that are done with it. Workers return a
-/// whole drain's buffers in one lock acquisition; the producer
-/// [`BufferPool::take`]s them back (cleared, capacity intact) instead
-/// of allocating. This is what holds the pool's steady-state
-/// `allocs_per_req` below 1.
-pub struct BufferPool {
-    bufs: Mutex<Vec<Vec<u8>>>,
-}
-
-impl BufferPool {
-    /// A new, empty pool.
-    pub fn new() -> Self {
-        BufferPool {
-            bufs: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Take a recycled buffer (empty, capacity preserved), or a fresh
-    /// one if the pool is dry.
-    pub fn take(&self) -> Vec<u8> {
-        let mut buf = self.bufs.lock().unwrap().pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Buffers currently pooled.
-    pub fn len(&self) -> usize {
-        self.bufs.lock().unwrap().len()
-    }
-
-    /// Whether the free-list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Return one spent buffer.
-    pub fn put(&self, buf: Vec<u8>) {
-        self.bufs.lock().unwrap().push(buf);
-    }
-
-    /// Return a batch of spent buffers under one lock acquisition.
-    pub fn put_batch(&self, bufs: impl Iterator<Item = Vec<u8>>) {
-        self.bufs.lock().unwrap().extend(bufs);
-    }
-}
-
-impl Default for BufferPool {
-    fn default() -> Self {
-        Self::new()
+    /// Whether [`SpmcRing::close`] has been called.
+    pub fn is_closed(&self) -> bool {
+        self.state.lock().unwrap().closed
     }
 }
 
 /// Closes the injector when dropped — including when a worker or the
-/// producer unwinds. Without this, a panicking participant would leave
+/// pump unwinds. Without this, a panicking participant would leave
 /// the others blocked on the ring forever instead of letting the scope
 /// join and propagate the panic.
-struct CloseGuard<'a>(&'a SpmcRing<Datagram>);
+pub(crate) struct CloseGuard<'a>(pub(crate) &'a SpmcRing<Datagram>);
 
 impl Drop for CloseGuard<'_> {
     fn drop(&mut self) {
@@ -298,7 +250,7 @@ impl Drop for CloseGuard<'_> {
 }
 
 /// One request datagram entering the pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Datagram {
     /// Peer (client) identifier — scopes block-wise transfer state.
     pub peer: u64,
@@ -317,15 +269,12 @@ pub struct Reply {
     pub peer: u64,
     /// Sequence number of the request this answers.
     pub seq: u64,
-    /// Index of the worker that served the exchange.
-    pub worker: usize,
     /// The CoAP response wire bytes (`None`: the datagram was
     /// malformed and dropped, like a real UDP front-end would).
     pub wire: Option<Vec<u8>>,
 }
 
-/// Counters aggregated over one [`ProxyPool::run`] or
-/// [`ProxyPool::run_io`] call.
+/// Counters aggregated over one [`ProxyPool::run_io`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolRunStats {
     /// Datagrams pulled off the ring.
@@ -334,6 +283,15 @@ pub struct PoolRunStats {
     pub replies: u64,
     /// Malformed datagrams dropped.
     pub errors: u64,
+}
+
+/// Where workers leave finished replies for the pump. A worker takes
+/// the lock once per drain, to move the drain's replies in and add its
+/// counts; the pump swaps `replies` out to send them.
+#[derive(Default)]
+pub(crate) struct Outbox {
+    pub(crate) replies: Vec<Reply>,
+    pub(crate) stats: PoolRunStats,
 }
 
 /// A multi-worker proxy front-end: N threads sharing one thread-safe
@@ -345,9 +303,6 @@ pub struct ProxyPool {
     pub server: Arc<DocServer>,
     workers: usize,
     mode: ServeMode,
-    /// When set, spent `Datagram::wire` buffers are returned here
-    /// after each drain so the producer can reuse them.
-    recycle: Option<Arc<BufferPool>>,
 }
 
 /// How many datagrams a worker grabs from the injector per lock
@@ -373,16 +328,7 @@ impl ProxyPool {
             server,
             workers: workers.max(1),
             mode,
-            recycle: None,
         }
-    }
-
-    /// Recycle spent `Datagram::wire` buffers through `pool` — the
-    /// producer side of the closed loop takes them back with
-    /// [`BufferPool::take`] instead of allocating.
-    pub fn with_wire_recycling(mut self, pool: Arc<BufferPool>) -> Self {
-        self.recycle = Some(pool);
-        self
     }
 
     /// Number of worker threads.
@@ -491,146 +437,66 @@ impl ProxyPool {
         Some(())
     }
 
-    /// Fan `datagrams` over the worker threads through a bounded
-    /// injector ring of `ring_capacity` slots and hand every reply to
-    /// `on_reply` (called from worker threads; replies arrive in
-    /// completion order, not submission order). The `Reply` is
-    /// **borrowed**: the worker keeps ownership of the reply buffer and
-    /// reuses it on the next drain, so a sink that only inspects or
-    /// copies out costs the pool nothing.
-    ///
-    /// The calling thread is the single producer: it blocks while the
-    /// injector is full, which bounds in-flight work and gives
-    /// closed-loop behaviour when the iterator is replayed load.
-    pub fn run<I>(
-        &self,
-        ring_capacity: usize,
-        datagrams: I,
-        on_reply: &(dyn Fn(&Reply) + Sync),
-    ) -> PoolRunStats
-    where
-        I: IntoIterator<Item = Datagram>,
-    {
-        let injector: SpmcRing<Datagram> = SpmcRing::new(ring_capacity);
-        let processed = AtomicU64::new(0);
-        let replies = AtomicU64::new(0);
-        let errors = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            // The producer needs the same unwind protection as the
-            // workers: if the datagram iterator panics, the scope body
-            // unwinds before the explicit close below, and scope()
-            // would join workers blocked on the empty ring forever.
-            let _producer_guard = CloseGuard(&injector);
-            for worker in 0..self.workers {
-                let injector = &injector;
-                let processed = &processed;
-                let replies = &replies;
-                let errors = &errors;
-                scope.spawn(move || {
-                    // If this worker unwinds (serve or on_reply
-                    // panicking), the guard closes the injector so the
-                    // producer unblocks and the scope can join and
-                    // propagate the panic instead of deadlocking.
-                    let _close_guard = CloseGuard(injector);
-                    let mut batch: Vec<Datagram> = Vec::with_capacity(INJECTOR_GRAB);
-                    let mut scratch = WorkerScratch::default();
-                    while injector.pop_batch(&mut batch, INJECTOR_GRAB) > 0 {
-                        self.serve_batch(
-                            worker,
-                            &mut batch,
-                            &mut scratch,
-                            processed,
-                            replies,
-                            errors,
-                            on_reply,
-                        );
-                    }
-                });
-            }
-            for d in datagrams {
-                if injector.push(d).is_err() {
-                    break;
-                }
-            }
-            injector.close();
-        });
-        PoolRunStats {
-            processed: processed.load(Ordering::Relaxed),
-            replies: replies.load(Ordering::Relaxed),
-            errors: errors.load(Ordering::Relaxed),
+    /// One worker thread of [`ProxyPool::run_io`]: drain the injector
+    /// until it is closed and empty, serving each drain into the
+    /// outbox.
+    pub(crate) fn work(&self, injector: &SpmcRing<Datagram>, outbox: &Mutex<Outbox>) {
+        // If this worker unwinds, the guard closes the injector so the
+        // pump stops feeding it and the scope can join and propagate
+        // the panic instead of deadlocking.
+        let _close_guard = CloseGuard(injector);
+        let mut batch: Vec<Datagram> = Vec::with_capacity(INJECTOR_GRAB);
+        let mut scratch = WorkerScratch::default();
+        while injector.pop_batch(&mut batch, INJECTOR_GRAB) > 0 {
+            self.serve_batch(&mut batch, &mut scratch, outbox);
         }
     }
 
-    /// Serve one drain: serve every datagram into the worker's reply
-    /// slab, emit borrowed [`Reply`]s, then recycle the spent wire
-    /// buffers.
-    #[allow(clippy::too_many_arguments)]
+    /// Serve one drain, then move its replies and counts into the
+    /// outbox under one lock. Each reply takes the worker's spare
+    /// buffer and leaves the request's wire as the next spare; a
+    /// dropped datagram keeps the spare and frees its wire.
     fn serve_batch(
         &self,
-        worker: usize,
         batch: &mut Vec<Datagram>,
         scratch: &mut WorkerScratch,
-        processed: &AtomicU64,
-        replies: &AtomicU64,
-        errors: &AtomicU64,
-        on_reply: &(dyn Fn(&Reply) + Sync),
+        outbox: &Mutex<Outbox>,
     ) {
         let WorkerScratch {
-            reply_bufs,
-            served,
+            spare,
+            replies,
             proxy,
             upstream,
         } = scratch;
-        // The reply slab: one buffer per batch slot, grown once to the
-        // largest drain seen and then reused forever. `serve_into`
-        // clears each buffer before writing, so nothing from a
-        // previous batch can leak across the boundary.
-        while reply_bufs.len() < batch.len() {
-            reply_bufs.push(Vec::new());
-        }
-        // Serve the whole drain, then emit: one buffer reused and emitted
-        // per datagram cost +24 % CPU/request on servebench doq-stream-mem.
-        served.clear();
-        for (i, d) in batch.iter().enumerate() {
-            let ok = self.serve_into(d, proxy, upstream, &mut reply_bufs[i]);
-            processed.fetch_add(1, Ordering::Relaxed);
-            match ok {
-                true => replies.fetch_add(1, Ordering::Relaxed),
-                false => errors.fetch_add(1, Ordering::Relaxed),
-            };
-            served.push(ok);
-        }
-        for (i, d) in batch.iter().enumerate() {
-            let reply = Reply {
+        let processed = batch.len() as u64;
+        let mut served = 0;
+        for d in batch.drain(..) {
+            let wire = self
+                .serve_into(&d, proxy, upstream, spare)
+                .then(|| std::mem::replace(spare, d.wire));
+            served += u64::from(wire.is_some());
+            replies.push(Reply {
                 peer: d.peer,
                 seq: d.seq,
-                worker,
-                wire: served[i].then(|| std::mem::take(&mut reply_bufs[i])),
-            };
-            on_reply(&reply);
-            // Reclaim the slab buffer the borrowed reply carried.
-            if let Some(buf) = reply.wire {
-                reply_bufs[i] = buf;
-            }
+                wire,
+            });
         }
-        match &self.recycle {
-            Some(recycle) => recycle.put_batch(batch.drain(..).map(|mut d| {
-                d.wire.clear();
-                d.wire
-            })),
-            None => batch.clear(),
-        }
+        let mut out = outbox.lock().unwrap();
+        out.replies.append(replies);
+        out.stats.processed += processed;
+        out.stats.replies += served;
+        out.stats.errors += processed - served;
     }
 }
 
-/// Per-worker reusable scratch state: the reply slab, the served
-/// flags, and the proxy/upstream encode buffers. Everything here is
-/// grown during warmup and reused for the rest of the run — the
-/// steady-state serve loop allocates nothing.
+/// Per-worker reusable scratch state: the spare reply buffer, the
+/// drain's replies before they move to the outbox, and the
+/// proxy/upstream encode buffers. Everything here is grown during
+/// warmup and reused for the rest of the run.
 #[derive(Default)]
 struct WorkerScratch {
-    reply_bufs: Vec<Vec<u8>>,
-    served: Vec<bool>,
+    spare: Vec<u8>,
+    replies: Vec<Reply>,
     proxy: ProxyScratch,
     upstream: Vec<u8>,
 }
@@ -638,13 +504,14 @@ struct WorkerScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::{IoProvider, RecvSlot, ReplayProvider};
     use crate::method::{build_request, DocMethod};
     use crate::policy::CachePolicy;
     use crate::server::MockUpstream;
     use doc_coap::msg::{Code, MsgType};
     use doc_coap::view::CoapView;
     use doc_dns::{Message, Name, RecordType};
-    use std::sync::atomic::AtomicUsize;
+    use doc_time::{Instant, Millis};
 
     #[test]
     fn ring_is_bounded_fifo() {
@@ -733,26 +600,35 @@ mod tests {
         )
     }
 
+    /// Serve `requests` through `run_io` and an in-memory replay; the
+    /// replies come back in completion order.
+    fn replay<W: AsRef<[u8]>>(
+        pool: &ProxyPool,
+        ring: usize,
+        requests: impl IntoIterator<Item = (u64, Instant, W)>,
+    ) -> (PoolRunStats, Vec<Reply>) {
+        let mut replies = Vec::new();
+        let mut provider = ReplayProvider::new(requests, |r: &Reply| replies.push(r.clone()));
+        let stats = pool.run_io(&mut provider, ring, 8, Millis::from_millis(1));
+        (stats, replies)
+    }
+
     #[test]
     fn pool_serves_all_datagrams_with_matching_exchanges() {
         let names = ["a.example.org", "b.example.org", "c.example.org"];
         let pool = pool(4, &names);
         let total = 300u64;
-        let replies = Mutex::new(Vec::new());
-        let stats = pool.run(
+        let (stats, replies) = replay(
+            &pool,
             16,
-            (0..total).map(|seq| Datagram {
-                peer: seq % 5,
-                seq,
-                at: doc_time::Instant::from_millis(seq),
-                wire: fetch_wire(names[(seq % 3) as usize], seq),
+            (0..total).map(|seq| {
+                let wire = fetch_wire(names[(seq % 3) as usize], seq);
+                (seq % 5, Instant::from_millis(seq), wire)
             }),
-            &|r| replies.lock().unwrap().push(r.clone()),
         );
         assert_eq!(stats.processed, total);
         assert_eq!(stats.replies, total);
         assert_eq!(stats.errors, 0);
-        let replies = replies.lock().unwrap();
         assert_eq!(replies.len(), total as usize);
         for r in replies.iter() {
             // Each reply carries its own request's token and MID — no
@@ -816,16 +692,10 @@ mod tests {
                 _ if seq % 7 == 3 => frame_request(mode, &nxdomain),
                 _ => frame_request(mode, &hit),
             };
-            let replies = Mutex::new(Vec::new());
-            let stats = pool.run(
+            let (stats, replies) = replay(
+                &pool,
                 8,
-                (0..50u64).map(|seq| Datagram {
-                    peer: 0,
-                    seq,
-                    at: doc_time::Instant::from_millis(1),
-                    wire: wire_for(seq),
-                }),
-                &|r| replies.lock().unwrap().push(r.clone()),
+                (0..50u64).map(|seq| (0, Instant::from_millis(1), wire_for(seq))),
             );
             assert_eq!(stats.processed, 50, "{mode:?}");
             assert_eq!(stats.replies, 49, "{mode:?}");
@@ -848,7 +718,6 @@ mod tests {
                     _ => doq::encode_doq(&resp),
                 }
             };
-            let replies = replies.lock().unwrap();
             assert_eq!(replies.len(), 50, "{mode:?}");
             for r in replies.iter() {
                 match r.seq {
@@ -882,21 +751,15 @@ mod tests {
                 frame_request(mode, &query("big.example.org")),
                 frame_request(mode, &query("a.example.org")),
             ];
-            let replies = Mutex::new(Vec::new());
-            let stats = pool.run(
+            let (stats, replies) = replay(
+                &pool,
                 4,
-                wires.iter().enumerate().map(|(seq, wire)| Datagram {
-                    peer: 0,
-                    seq: seq as u64,
-                    at: doc_time::Instant::from_millis(1),
-                    wire: wire.clone(),
-                }),
-                &|r| replies.lock().unwrap().push((r.seq, r.wire.is_some())),
+                wires.iter().map(|w| (0, Instant::from_millis(1), w)),
             );
             assert_eq!(stats.processed, 2, "{mode:?}");
             assert_eq!(stats.errors, 1, "{mode:?}");
             assert_eq!(stats.replies, 1, "{mode:?}");
-            let mut replies = replies.lock().unwrap().clone();
+            let mut replies: Vec<_> = replies.iter().map(|r| (r.seq, r.wire.is_some())).collect();
             replies.sort_unstable();
             assert_eq!(replies, vec![(0, false), (1, true)], "{mode:?}");
         }
@@ -905,76 +768,56 @@ mod tests {
     #[test]
     fn pool_drops_malformed_datagrams() {
         let pool = pool(2, &["a.example.org"]);
-        let errors = AtomicUsize::new(0);
-        let stats = pool.run(
+        let (stats, replies) = replay(
+            &pool,
             4,
-            (0..10u64).map(|seq| Datagram {
-                peer: 0,
-                seq,
-                at: doc_time::Instant::from_millis(0),
-                wire: if seq % 2 == 0 {
-                    fetch_wire("a.example.org", seq)
-                } else {
-                    vec![0xFF, 0x00, 0x01] // not a CoAP datagram
-                },
+            (0..10u64).map(|seq| {
+                let wire = match seq % 2 {
+                    0 => fetch_wire("a.example.org", seq),
+                    _ => vec![0xFF, 0x00, 0x01], // not a CoAP datagram
+                };
+                (0, Instant::from_millis(0), wire)
             }),
-            &|r| {
-                if r.wire.is_none() {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                }
-            },
         );
         assert_eq!(stats.processed, 10);
         assert_eq!(stats.replies, 5);
         assert_eq!(stats.errors, 5);
-        assert_eq!(errors.load(Ordering::Relaxed), 5);
+        assert_eq!(replies.iter().filter(|r| r.wire.is_none()).count(), 5);
     }
 
-    /// A panicking worker must propagate out of `run` (via the scope
-    /// join), not leave the producer deadlocked on the full ring.
+    /// A provider panicking in `send_batch` must propagate out of
+    /// `run_io` (via the scope join), not leave the workers parked on
+    /// the ring.
     #[test]
-    fn worker_panic_propagates_instead_of_deadlocking() {
+    fn sink_panic_propagates_instead_of_deadlocking() {
         let pool = pool(1, &["a.example.org"]);
-        // Far more datagrams than ring slots, so the producer would
-        // park on the full ring if the sole (panicked) worker stopped
-        // draining without closing it.
+        // Far more datagrams than ring slots, so the pump is still
+        // feeding when the first flush panics.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(
-                4,
-                (0..1000u64).map(|seq| Datagram {
-                    peer: 0,
-                    seq,
-                    at: doc_time::Instant::from_millis(0),
-                    wire: fetch_wire("a.example.org", seq),
-                }),
-                &|_| panic!("reply sink failure"),
-            )
+            let requests = (0..1000u64)
+                .map(|seq| (0, Instant::from_millis(0), fetch_wire("a.example.org", seq)));
+            let mut provider =
+                ReplayProvider::new(requests, |_: &Reply| panic!("reply sink failure"));
+            pool.run_io(&mut provider, 4, 8, Millis::from_millis(1))
         }));
         assert!(result.is_err(), "panic must propagate");
     }
 
-    /// A panicking datagram source must propagate out of `run` the
-    /// same way a panicking worker does — not leave the workers parked
-    /// on the open ring's condvar.
+    /// A provider panicking in `recv_batch` mid-run must propagate out
+    /// of `run_io` the same way — not leave the workers parked on the
+    /// open ring's condvar.
     #[test]
     fn producer_panic_propagates_instead_of_deadlocking() {
         let pool = pool(2, &["a.example.org"]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(
-                4,
-                (0..100u64).map(|seq| {
-                    if seq == 50 {
-                        panic!("load source failure");
-                    }
-                    Datagram {
-                        peer: 0,
-                        seq,
-                        at: doc_time::Instant::from_millis(0),
-                        wire: fetch_wire("a.example.org", seq),
-                    }
-                }),
-                &|_| {},
-            )
+            let requests = (0..100u64).map(|seq| {
+                if seq == 50 {
+                    panic!("load source failure");
+                }
+                (0, Instant::from_millis(0), fetch_wire("a.example.org", seq))
+            });
+            let mut provider = ReplayProvider::new(requests, |_: &Reply| {});
+            pool.run_io(&mut provider, 4, 8, Millis::from_millis(1))
         }));
         assert!(result.is_err(), "panic must propagate");
     }
@@ -1000,15 +843,14 @@ mod tests {
                     &mut buf,
                 );
             }
-            let stats = pool.run(
+            // A single instant: no TTL churn.
+            let (stats, _) = replay(
+                &pool,
                 8,
-                (0..total).map(|seq| Datagram {
-                    peer: 0,
-                    seq,
-                    at: doc_time::Instant::from_millis(5), // single instant: no TTL churn
-                    wire: fetch_wire(names[(seq % 2) as usize], seq),
+                (0..total).map(|seq| {
+                    let wire = fetch_wire(names[(seq % 2) as usize], seq);
+                    (0, Instant::from_millis(5), wire)
                 }),
-                &|_| {},
             );
             (stats, pool.proxy.stats(), pool.server.stats())
         };
@@ -1024,47 +866,52 @@ mod tests {
         assert_eq!(sv1.full_responses, sv4.full_responses);
     }
 
-    #[test]
-    fn buffer_pool_recycles_capacity() {
-        let pool = BufferPool::new();
-        assert!(pool.is_empty());
-        let mut buf = pool.take();
-        assert!(buf.is_empty());
-        buf.extend_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let cap = buf.capacity();
-        pool.put(buf);
-        assert_eq!(pool.len(), 1);
-        let again = pool.take();
-        assert!(again.is_empty(), "recycled buffers come back cleared");
-        assert_eq!(again.capacity(), cap, "…with their capacity intact");
-        pool.put_batch((0..3).map(|_| vec![0u8; 16]));
-        assert_eq!(pool.len(), 3);
+    /// Wraps a replay and checks what the pump leaves in the slots.
+    struct SlotProbe<P> {
+        inner: P,
+        /// Datagrams received into a buffer that had never held one.
+        fresh: usize,
     }
 
-    /// The wire-recycling loop: after a run with a [`BufferPool`]
-    /// attached, the spent wires are back in the pool (cleared) for
-    /// the producer to take.
+    impl<P: IoProvider> IoProvider for SlotProbe<P> {
+        fn recv_batch(&mut self, slots: &mut [RecvSlot], timeout: Millis) -> usize {
+            let unused: Vec<bool> = slots
+                .iter()
+                .map(|slot| {
+                    let d = slot.datagram.as_ref().expect("the pump fills every slot");
+                    assert!(d.wire.is_empty(), "spent buffers come back cleared");
+                    d.wire.capacity() == 0
+                })
+                .collect();
+            let n = self.inner.recv_batch(slots, timeout);
+            self.fresh += unused.iter().take(n).filter(|&&u| u).count();
+            n
+        }
+
+        fn send_batch(&mut self, replies: &[Reply]) -> usize {
+            self.inner.send_batch(replies)
+        }
+    }
+
+    /// Buffers circulate: every slot reaches the provider with a
+    /// cleared spent datagram, and new buffers are only needed until
+    /// the in-flight bound is covered, not once per request. When the
+    /// pump refills the slots, what is in flight was in flight at its
+    /// last flush: at most 8 ring entries plus 8 drained by each of the
+    /// two workers. With the 8 slots and a spare per worker, 34
+    /// buffers carry the whole run.
     #[test]
-    fn wire_recycling_returns_buffers_to_pool() {
-        let recycle = Arc::new(BufferPool::new());
-        let pool = pool(2, &["a.example.org"]).with_wire_recycling(Arc::clone(&recycle));
-        let total = 50u64;
-        let stats = pool.run(
-            8,
-            (0..total).map(|seq| Datagram {
-                peer: 0,
-                seq,
-                at: doc_time::Instant::from_millis(1),
-                wire: fetch_wire("a.example.org", seq),
-            }),
-            &|_| {},
-        );
+    fn spent_buffers_return_to_recv_slots() {
+        let pool = pool(2, &["a.example.org"]);
+        let total = 2_000u64;
+        let requests =
+            (0..total).map(|seq| (0, Instant::from_millis(1), fetch_wire("a.example.org", seq)));
+        let mut probe = SlotProbe {
+            inner: ReplayProvider::new(requests, |_: &Reply| {}),
+            fresh: 0,
+        };
+        let stats = pool.run_io(&mut probe, 8, 8, Millis::from_millis(1));
         assert_eq!(stats.replies, total);
-        assert_eq!(
-            recycle.len(),
-            total as usize,
-            "every wire buffer recycled exactly once"
-        );
-        assert!(recycle.take().is_empty(), "recycled wires come back empty");
+        assert!(probe.fresh <= 34, "{} fresh buffers", probe.fresh);
     }
 }

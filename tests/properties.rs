@@ -660,10 +660,10 @@ proptest! {
         prop_assert_eq!(inner.payload, payload);
     }
 
-    /// Slab-reset guard for the zero-alloc pool path: a 1-worker
-    /// `ProxyPool::run` serves replies out of per-worker slab buffers
-    /// reused across batches, while `ProxyPool::serve` allocates fresh
-    /// per call. Over arbitrary query sequences (arbitrary repetition,
+    /// Buffer-reuse guard for the zero-alloc pool path: a 1-worker
+    /// `ProxyPool::run_io` writes each reply into a buffer that last
+    /// held an earlier request or reply, while `ProxyPool::serve`
+    /// allocates fresh per call. Over arbitrary query sequences (arbitrary repetition,
     /// so cache hits follow misses and short replies follow long ones)
     /// the two paths must be byte-identical per sequence number — any
     /// stale bytes surviving a batch boundary show up as a mismatch.
@@ -673,10 +673,12 @@ proptest! {
     ) {
         use doc_bench::throughput::{build_mix, LoadSpec};
         use doc_repro::doc::policy::CachePolicy;
-        use doc_repro::doc::pool::{Datagram, ProxyPool};
+        use doc_repro::doc::io::ReplayProvider;
+        use doc_repro::doc::pool::{Datagram, ProxyPool, Reply};
         use doc_repro::doc::server::{DocServer, MockUpstream};
         use doc_repro::doc::CoapProxy;
-        use std::sync::{Arc, Mutex};
+        use doc_repro::time::Millis;
+        use std::sync::Arc;
 
         let spec = LoadSpec { unique_names: 8, ..LoadSpec::default() };
         let make_pool = || {
@@ -702,13 +704,16 @@ proptest! {
                 .collect()
         };
 
-        // Slab path: 1 worker drains the injector in input order, so
-        // cache state evolves exactly like the sequential pass below.
+        // Recycled-buffer path: 1 worker drains the injector in input
+        // order, so cache state evolves exactly like the sequential
+        // pass below.
         let (pool, wires) = make_pool();
-        let via_run = Mutex::new(vec![None; picks.len()]);
-        pool.run(16, datagrams(&wires).into_iter(), &|r| {
-            via_run.lock().unwrap()[r.seq as usize] = r.wire.clone();
-        });
+        let mut via_run = vec![None; picks.len()];
+        let mut provider = ReplayProvider::new(
+            datagrams(&wires).into_iter().map(|d| (d.peer, d.at, d.wire)),
+            |r: &Reply| via_run[r.seq as usize] = r.wire.clone(),
+        );
+        pool.run_io(&mut provider, 16, 8, Millis::from_millis(1));
 
         // Owned path: same mix on an identically-seeded pool, one
         // fresh-allocated reply per call.
@@ -718,8 +723,8 @@ proptest! {
         for (seq, d) in datagrams(&wires2).iter().enumerate() {
             let expect = pool2.serve(d, &mut upstream_buf);
             prop_assert_eq!(
-                &via_run.lock().unwrap()[seq], &expect,
-                "slab reply diverged from owned reply at seq {}", seq
+                &via_run[seq], &expect,
+                "recycled-buffer reply diverged from owned reply at seq {}", seq
             );
         }
     }

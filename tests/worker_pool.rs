@@ -1,15 +1,17 @@
 //! End-to-end tests of the scale-out front-end: the sharded
-//! proxy/server behind the SPMC-ring worker pool, fed both by the
-//! throughput harness's replay mix and by the network simulator's
-//! batched event drain.
+//! proxy/server behind the SPMC-ring worker pool, pumped by `run_io`
+//! from both the throughput harness's replay mix and the network
+//! simulator's batched event drain.
 
 use doc_bench::throughput::{build_mix, LoadSpec};
+use doc_repro::doc::io::{IoProvider, RecvSlot, ReplayProvider, SimProvider};
 use doc_repro::doc::policy::CachePolicy;
-use doc_repro::doc::pool::{Datagram, ProxyPool};
+use doc_repro::doc::pool::{PoolRunStats, ProxyPool, Reply};
 use doc_repro::doc::server::{DocServer, MockUpstream};
 use doc_repro::doc::CoapProxy;
-use doc_repro::netsim::{LinkKind, Sim, SimEvent, Tag};
-use std::sync::{Arc, Mutex};
+use doc_repro::netsim::{LinkKind, Sim, Tag};
+use doc_repro::time::{Instant, Millis};
+use std::sync::Arc;
 
 fn sharded_pool(workers: usize, spec: &LoadSpec) -> (ProxyPool, Vec<Vec<u8>>) {
     let upstream = MockUpstream::new(1, spec.ttl_s, spec.ttl_s);
@@ -22,6 +24,24 @@ fn sharded_pool(workers: usize, spec: &LoadSpec) -> (ProxyPool, Vec<Vec<u8>>) {
     (pool, mix.wires().to_vec())
 }
 
+/// Replay `total` requests cycling through `wires` (peer `peer(seq)`,
+/// all at t = 1 ms) through `run_io`, handing each reply to `on_reply`.
+fn replay(
+    pool: &ProxyPool,
+    ring: usize,
+    wires: &[Vec<u8>],
+    total: u64,
+    peer: impl Fn(u64) -> u64,
+    on_reply: impl FnMut(&Reply),
+) -> PoolRunStats {
+    let requests = (0..total).map(|seq| {
+        let wire = &wires[(seq % wires.len() as u64) as usize];
+        (peer(seq), Instant::from_millis(1), wire)
+    });
+    let mut provider = ReplayProvider::new(requests, on_reply);
+    pool.run_io(&mut provider, ring, 8, Millis::from_millis(1))
+}
+
 /// The full replay mix through 4 workers: every datagram answered,
 /// every reply well-formed, proxy/server accounting adds up.
 #[test]
@@ -32,23 +52,21 @@ fn pool_replays_query_mix_end_to_end() {
     };
     let (pool, wires) = sharded_pool(4, &spec);
     let total = 2_000u64;
-    let replies = Mutex::new(0u64);
-    let stats = pool.run(
+    let mut replies = 0u64;
+    let stats = replay(
+        &pool,
         64,
-        (0..total).map(|seq| Datagram {
-            peer: seq % 16,
-            seq,
-            at: doc_repro::time::Instant::from_millis(1),
-            wire: wires[(seq % wires.len() as u64) as usize].clone(),
-        }),
-        &|r| {
+        &wires,
+        total,
+        |seq| seq % 16,
+        |r| {
             assert!(r.wire.is_some(), "seq {} dropped", r.seq);
-            *replies.lock().unwrap() += 1;
+            replies += 1;
         },
     );
     assert_eq!(stats.processed, total);
     assert_eq!(stats.replies, total);
-    assert_eq!(*replies.lock().unwrap(), total);
+    assert_eq!(replies, total);
     let p = pool.proxy.stats();
     assert_eq!(p.requests, total as u32);
     // Steady state after the 32 first touches (racing first touches
@@ -60,9 +78,9 @@ fn pool_replays_query_mix_end_to_end() {
 
 /// The simulator feeds the ring in batched virtual-time windows:
 /// clients transmit queries over the simulated 802.15.4 topology,
-/// `drain_due` harvests each window's arrivals, the pool serves them,
-/// and the replies are injected back into the simulator toward the
-/// clients. Every client ends up with a reply datagram.
+/// `SimProvider` harvests each window's arrivals for `run_io`, the pool
+/// serves them, and the replies are sent back into the simulator
+/// toward the clients. Every client ends up with a reply datagram.
 #[test]
 fn netsim_batched_drain_feeds_the_pool() {
     const CLIENTS: usize = 8;
@@ -89,45 +107,16 @@ fn netsim_batched_drain_feeds_the_pool() {
         sim.send_datagram(c, PROXY_NODE, wire.clone(), Tag::Query);
     }
 
-    // Pump the simulator in 50 ms batches; each batch's datagrams fan
-    // through the worker pool, and replies re-enter the simulator.
-    let mut horizon_us = 0;
-    let mut batch = Vec::new();
+    // Drain the simulator in 50 ms windows through the pool.
+    let mut provider = SimProvider::new(&mut sim, PROXY_NODE, 50_000);
+    let stats = pool.run_io(&mut provider, 16, 8, Millis::from_millis(10));
+    assert_eq!(stats.errors, 0);
+    // Run the simulation dry so the last replies reach their clients.
+    let mut none: [RecvSlot; 1] = Default::default();
+    assert_eq!(provider.recv_batch(&mut none, Millis::from_millis(1)), 0);
     let mut client_replies = vec![0u32; CLIENTS];
-    while !sim.is_idle() {
-        horizon_us += 50_000;
-        batch.clear();
-        sim.drain_due(horizon_us, &mut batch);
-        let at = sim.now();
-        let mut arrived = Vec::new();
-        for (_, ev) in batch.drain(..) {
-            match ev {
-                SimEvent::Datagram { from, to, bytes } if to == PROXY_NODE => {
-                    arrived.push(Datagram {
-                        peer: from as u64,
-                        seq: from as u64,
-                        at,
-                        wire: bytes,
-                    });
-                }
-                SimEvent::Datagram { to, .. } => {
-                    client_replies[to] += 1;
-                }
-                SimEvent::Timer { .. } => {}
-            }
-        }
-        if arrived.is_empty() {
-            continue;
-        }
-        let replies = Mutex::new(Vec::new());
-        let stats = pool.run(16, arrived, &|r| {
-            replies.lock().unwrap().push(r.clone());
-        });
-        assert_eq!(stats.errors, 0);
-        for r in replies.into_inner().unwrap() {
-            let wire = r.wire.expect("served");
-            sim.send_datagram(PROXY_NODE, r.peer as usize, wire, Tag::Response);
-        }
+    for (to, _) in provider.take_delivered() {
+        client_replies[to] += 1;
     }
     assert_eq!(client_replies, vec![1; CLIENTS], "one reply per client");
     assert_eq!(pool.proxy.stats().requests, CLIENTS as u32);
@@ -145,24 +134,22 @@ fn hot_peer_served_exactly_once_from_shared_ring() {
     };
     let (pool, wires) = sharded_pool(WORKERS, &spec);
     let total = 1_000u64;
-    let served = Mutex::new(vec![0u32; total as usize]);
-    let stats = pool.run(
+    let mut served = vec![0u32; total as usize];
+    let stats = replay(
+        &pool,
         64,
-        (0..total).map(|seq| Datagram {
-            peer: 1,
-            seq,
-            at: doc_repro::time::Instant::from_millis(1),
-            wire: wires[(seq % wires.len() as u64) as usize].clone(),
-        }),
-        &|r| {
+        &wires,
+        total,
+        |_| 1,
+        |r| {
             assert!(r.wire.is_some(), "seq {} dropped", r.seq);
-            served.lock().unwrap()[r.seq as usize] += 1;
+            served[r.seq as usize] += 1;
         },
     );
     assert_eq!(stats.processed, total);
     assert_eq!(stats.replies, total);
     assert!(
-        served.lock().unwrap().iter().all(|&n| n == 1),
+        served.iter().all(|&n| n == 1),
         "every request served exactly once"
     );
 }
@@ -179,16 +166,7 @@ fn four_workers_match_single_worker_totals() {
     let mut totals = Vec::new();
     for workers in [1usize, 4] {
         let (pool, wires) = sharded_pool(workers, &spec);
-        let stats = pool.run(
-            32,
-            (0..total).map(|seq| Datagram {
-                peer: seq % 7,
-                seq,
-                at: doc_repro::time::Instant::from_millis(1),
-                wire: wires[(seq % wires.len() as u64) as usize].clone(),
-            }),
-            &|_| {},
-        );
+        let stats = replay(&pool, 32, &wires, total, |seq| seq % 7, |_| {});
         totals.push((stats.processed, stats.replies, stats.errors));
     }
     assert_eq!(totals[0], totals[1], "worker count must not change totals");
